@@ -38,7 +38,9 @@ JSON schema (``BENCH_hotpaths.json``)::
 
 A bench counts as regressed when ``mean_s`` worsens by more than 25%
 against the committed previous run; the harness exits nonzero so CI can
-flag it (pass ``--no-strict`` to report without failing).  ``--smoke``
+flag it (pass ``--no-strict`` to report without failing).  In either
+mode a run with a regressed bench leaves ``BENCH_hotpaths.json``
+untouched, so the baseline it failed against stays the baseline.  ``--smoke``
 runs single short rounds and does not rewrite the JSON — it exists so
 ``make check`` can exercise every bench body quickly.
 """
@@ -712,7 +714,7 @@ def run(strict: bool = True, result_path: str = RESULT_PATH,
         if regression_pct is None:
             print(f"  note: {name}: new bench, no baseline")
 
-    if write:
+    if write and not regressions:
         # Partial runs (--only) keep the other benches' previous entries
         # so a targeted rerun cannot silently drop history.
         merged = dict(previous)
@@ -727,6 +729,11 @@ def run(strict: bool = True, result_path: str = RESULT_PATH,
         for name, pct in regressions:
             print(f"REGRESSION: {name} slowed by {pct:.1f}% "
                   f"(threshold {REGRESSION_THRESHOLD_PCT}%)", file=sys.stderr)
+        if write:
+            # A regressed run never becomes the baseline: otherwise an
+            # immediate rerun would compare against it and pass.
+            print(f"baseline kept: {result_path} left unchanged",
+                  file=sys.stderr)
         return 1 if strict else 0
     return 0
 

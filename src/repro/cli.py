@@ -10,7 +10,7 @@ Four subcommands drive :mod:`repro.core.registry`:
 * ``sweep [axis=v1,v2 ...]`` — a dataset x views x points x
   hardware-variant grid through the co-design pipeline
   (``variant=`` names map to :func:`repro.hardware.variant_config`),
-  fanned out over the multi-process variant runner;
+  fanned out over :func:`repro.core.run_variants`;
 * ``batch <jobs_dir>`` — fault-isolated bulk ingestion of a directory
   of JSON job specs (:mod:`repro.core.batch`): malformed or crashing
   jobs are quarantined under ``errors/`` with traceback reports, the

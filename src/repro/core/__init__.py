@@ -4,7 +4,8 @@
 :mod:`repro.core.registry` holds one declarative :class:`Experiment`
 per paper table/figure (prepare → units → reduce → render) driven by a
 :class:`repro.core.context.RunContext`; :mod:`repro.core.experiments`
-holds the picklable unit bodies plus the legacy ``run_*`` wrappers;
+holds the picklable unit bodies, fanned out through
+:mod:`repro.core.frame_pool`'s one fault-tolerant pool executor;
 :mod:`repro.core.reporting` renders artefact text.  ``python -m repro``
 (:mod:`repro.cli`) lists, runs, sweeps, and batch-ingests everything
 registered.
@@ -31,15 +32,10 @@ from .batch import (BatchSpecError, BatchSummary, JobReport, run_batch,
                     validate_spec)
 from .context import (LLFF_EVAL_SCENES, RunContext, clear_scene_memos,
                       llff_references, llff_scene_data)
-from .runner import (detect_workers, in_pool_worker, mark_pool_worker,
-                     run_variants)
-from .frame_pool import map_chunks, resolve_workers, shutdown_pool
+from .frame_pool import (in_pool_worker, map_chunks, resolve_workers,
+                         run_variants, shutdown_pool)
 from .scene_cache import SceneCache
-from .experiments import (AblationRow, FIG9_PAIRS, Fig9Point,
-                          run_coarse_budget_ablation,
-                          run_fig2, run_fig9, run_fig10, run_fig11,
-                          run_fig12, run_patch_candidate_ablation,
-                          run_table1, run_table2, run_table3, run_table4)
+from .experiments import AblationRow, FIG9_PAIRS, Fig9Point
 from .registry import (Experiment, ExperimentResult, all_experiments,
                        experiment_names, get_experiment, run_sweep)
 from .pipeline import (CoDesignPipeline, HardwareRig, dataflow_ablation,
@@ -55,11 +51,8 @@ from .reporting import (format_series, format_table, ratio_note,
 __all__ = [
     "CoDesignPipeline", "HardwareRig", "hardware_rig", "dataflow_ablation",
     "format_table", "format_series", "ratio_note", "write_artifact",
-    "run_table1", "run_fig2", "run_fig9", "run_table2", "run_table3",
-    "run_fig10", "run_fig11", "run_table4", "run_fig12",
-    "run_coarse_budget_ablation", "run_patch_candidate_ablation",
-    "run_variants", "detect_workers", "in_pool_worker", "mark_pool_worker",
-    "map_chunks", "resolve_workers", "shutdown_pool", "llff_scene_data",
+    "run_variants", "in_pool_worker", "map_chunks", "resolve_workers",
+    "shutdown_pool", "llff_scene_data",
     "llff_references", "clear_scene_memos", "LLFF_EVAL_SCENES",
     "RunContext", "SceneCache",
     "Experiment", "ExperimentResult", "get_experiment",

@@ -25,9 +25,8 @@ import numpy as np
 
 from .. import models as M
 from ..scenes.datasets import llff_eval_scenes
-from .runner import detect_workers
 from .scene_cache import SceneCache, recipe_key, source_images_key
-from . import faults, reporting
+from . import faults, frame_pool, reporting
 
 LLFF_EVAL_SCENES = ("fern", "fortress", "horns", "trex")
 
@@ -52,7 +51,7 @@ DEFAULT_RESULTS_DIR = _default_results_dir()
 # (scene, step) — so one process-wide memo serves every harness:
 # Table 2 and Table 3 at matching view counts share the same
 # minutes-scale ground-truth renders instead of re-rendering them per
-# runner.  The shared ``SceneData`` objects also carry the scene-level
+# table.  The shared ``SceneData`` objects also carry the scene-level
 # caches of the training fast path (``gt_cache`` / ``conv_cache``),
 # which is what lets identically scheduled variant ladders reuse
 # supervision across models.
@@ -194,9 +193,9 @@ class RunContext:
     * ``retries`` — bounded retry budget for failed/hung pool tasks
       (``None`` = the ``REPRO_RETRIES`` env knob, else 1).
 
-    The timeout/retry knobs share the lenient ``REPRO_WORKERS``-style
-    parsing (see :mod:`repro.core.faults`): malformed values warn and
-    fall back to defaults instead of crashing a long run.
+    The worker/timeout/retry knobs share one lenient parser
+    (:mod:`repro.core.knobs`): malformed values warn and fall back to
+    defaults instead of crashing a long run.
     """
 
     seed: Optional[int] = None
@@ -246,7 +245,7 @@ class RunContext:
 
     # ------------------------------------------------------------------
     def resolve_workers(self, num_tasks: int) -> int:
-        return detect_workers(num_tasks, self.workers)
+        return frame_pool.resolve_workers(num_tasks, self.workers)
 
     def resolve_task_timeout(self) -> Optional[float]:
         return faults.detect_task_timeout(self.task_timeout)

@@ -1,14 +1,15 @@
 """Deterministic fault injection and the shared retry policy.
 
-The execution layer (:mod:`repro.core.frame_pool`,
-:func:`repro.core.run_variants`, :mod:`repro.core.batch`, and the
-scene cache) must survive crashed workers, hung workers, corrupt
-results, corrupt cache entries, and interrupted ingestion runs — with
-byte-identical outputs on the retry path.  Proving that requires
-*reproducible* failures: this module provides a declarative
-:class:`FaultPlan` that injects exactly the faults a test asks for,
-keyed by task index and attempt number, so every run of a
-fault-injection suite sees the same failure sequence.
+The execution layer (the one pool executor in
+:mod:`repro.core.frame_pool`, behind both ``map_chunks`` and
+``run_variants``; :mod:`repro.core.batch`; and the scene cache) must
+survive crashed workers, hung workers, corrupt results, corrupt cache
+entries, and interrupted ingestion runs — with byte-identical outputs
+on the retry path.  Proving that requires *reproducible* failures:
+this module provides a declarative :class:`FaultPlan` that injects
+exactly the faults a test asks for, keyed by task index and attempt
+number, so every run of a fault-injection suite sees the same failure
+sequence.
 
 Fault kinds (all injected **inside pool workers only** — the
 in-process/sequential paths never inject, which is what makes them the
@@ -37,14 +38,13 @@ The retry policy half is plain shared machinery, active whether or not
 a plan is installed: :func:`retry_call` (bounded attempts, exponential
 backoff with deterministic jitter, retry on declared exception types),
 :func:`backoff_delay` (the jitter schedule itself), and the
-``REPRO_TASK_TIMEOUT`` / ``REPRO_RETRIES`` knobs with the same lenient
-parsing as ``REPRO_WORKERS`` (malformed values warn and fall back,
-never crash an hours-long run).
+``REPRO_TASK_TIMEOUT`` / ``REPRO_RETRIES`` knobs, resolved by the one
+lenient knob parser (:mod:`repro.core.knobs`: malformed values warn
+and fall back, never crash an hours-long run).
 """
 
 from __future__ import annotations
 
-import logging
 import os
 import time
 import zlib
@@ -52,7 +52,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Tuple
 
-from . import log
+from . import knobs
 
 TIMEOUT_ENV = "REPRO_TASK_TIMEOUT"
 RETRIES_ENV = "REPRO_RETRIES"
@@ -69,8 +69,6 @@ DEFAULT_BACKOFF_S = 0.05
 
 _CRASH_EXIT_CODE = 86          # distinctive, greppable in CI logs
 
-_LOG = log.get_logger("faults")
-
 
 # ----------------------------------------------------------------------
 # Fault plans
@@ -78,8 +76,8 @@ _LOG = log.get_logger("faults")
 class CorruptResult:
     """Marker a fault-injected worker returns in place of its real
     output — the stand-in for a checksum-failing result.  The execution
-    layer treats any ``CorruptResult`` (or a ``validate`` hook saying
-    no) as a retryable worker fault, never as data."""
+    layer treats any ``CorruptResult`` as a retryable worker fault,
+    never as data."""
 
     def __init__(self, task_index: int):
         self.task_index = int(task_index)
@@ -227,9 +225,10 @@ def retry_call(function: Callable, *args,
     attempts; after ``retries`` retries the final failure propagates.
     ``on_retry(attempt, error)`` observes each retry (logging hooks).
     Per-task *timeouts* are enforced where a task can actually be
-    abandoned — at the pool-future layer in ``map_chunks`` /
-    ``run_variants``, whose ``TimeoutError`` is just another retryable
-    error here; an in-process Python call cannot be interrupted.
+    abandoned — at the pool-future layer of
+    :mod:`repro.core.frame_pool`, whose ``TimeoutError`` is just another
+    retryable error here; an in-process Python call cannot be
+    interrupted.
     """
     retries = detect_retries(retries)
     for attempt in range(retries + 1):
@@ -245,20 +244,8 @@ def retry_call(function: Callable, *args,
 
 
 # ----------------------------------------------------------------------
-# Env knobs (lenient, like REPRO_WORKERS)
+# Env knobs (lenient, see repro.core.knobs)
 # ----------------------------------------------------------------------
-def _parse_number(value, source: str, cast):
-    """Best-effort numeric parse; ``None`` (with a structured warning)
-    on malformed input, so a typo'd knob degrades to the default
-    instead of crashing a long run."""
-    try:
-        return cast(str(value).strip())
-    except (TypeError, ValueError):
-        log.event(_LOG, "knob.ignored", level=logging.WARNING,
-                  knob=source, value=value)
-        return None
-
-
 def detect_task_timeout(timeout=None) -> Optional[float]:
     """Resolve the per-task timeout in seconds for the pool layers.
 
@@ -267,15 +254,8 @@ def detect_task_timeout(timeout=None) -> Optional[float]:
     Empty/whitespace env values are skipped; malformed values warn and
     fall through; any non-positive value disables timeouts explicitly.
     """
-    if timeout is not None:
-        timeout = _parse_number(timeout, "timeout", float)
-    if timeout is None:
-        env = os.environ.get(TIMEOUT_ENV)
-        if env is not None and env.strip():
-            timeout = _parse_number(env, TIMEOUT_ENV, float)
-    if timeout is None:
-        return None
-    return timeout if timeout > 0 else None
+    timeout = knobs.resolve(timeout, TIMEOUT_ENV, None, float, "timeout")
+    return timeout if timeout is not None and timeout > 0 else None
 
 
 def detect_retries(retries=None) -> int:
@@ -286,12 +266,5 @@ def detect_retries(retries=None) -> int:
     through; negative values clamp to 0 (no retries, straight to the
     final in-process attempt on failure) rather than raising.
     """
-    if retries is not None:
-        retries = _parse_number(retries, "retries", int)
-    if retries is None:
-        env = os.environ.get(RETRIES_ENV)
-        if env is not None and env.strip():
-            retries = _parse_number(env, RETRIES_ENV, int)
-    if retries is None:
-        retries = DEFAULT_RETRIES
-    return max(int(retries), 0)
+    return max(knobs.resolve(retries, RETRIES_ENV, DEFAULT_RETRIES, int,
+                             "retries"), 0)

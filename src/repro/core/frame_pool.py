@@ -1,14 +1,24 @@
-"""Persistent intra-frame worker pool with per-worker payload state.
+"""Fault-tolerant process-pool executor for frame chunks and variant units.
 
-:func:`repro.core.run_variants` parallelises *between* experiment
-variants; this module parallelises *within* one frame.  The renderer's
-chunk loops (:mod:`repro.models.renderer`) and the accelerator frame
-simulation (:meth:`repro.hardware.GenNerfAccelerator.simulate_frame`)
-both decompose a frame into independent work units whose boundaries are
-computed identically to the sequential path, so fanning the units over
-a process pool and stitching results in task order reproduces the
-sequential output **byte for byte** — the same discipline that keeps
-``run_variants`` artefacts stable.
+The paper's evidence is a set of independent runs: the chunks of one
+rendered or simulated frame, and the model variants and sweep points
+of the figure harnesses.  Both fan out through one retry / rebuild /
+timeout / degrade loop, behind two thin public wrappers:
+
+* :func:`map_chunks` parallelises *within* one frame.  The renderer's
+  chunk loops (:mod:`repro.models.renderer`) and the accelerator frame
+  simulation (:meth:`repro.hardware.GenNerfAccelerator.simulate_frame`)
+  decompose a frame into independent work units whose boundaries are
+  computed identically to the sequential path, so stitching results in
+  task order reproduces the sequential output **byte for byte**.
+* :func:`run_variants` parallelises *between* experiment units — the
+  ``(function, kwargs)`` tasks of :mod:`repro.core.registry`.  Its
+  pool is shut down before it returns, so variant workers never
+  outlive the call.
+
+The loop takes a *scope* (``"frame_pool"`` or ``"run_variants"``):
+the prefix of every event it emits, the ``scope`` a
+:class:`repro.core.faults.FaultPlan` matches, and the backoff salt.
 
 Design points (the worker-pool chunked-fetch idiom, adapted to heavy
 per-task state):
@@ -20,29 +30,29 @@ per-task state):
   (slice bounds, per-chunk uniforms, a shard of plan arrays).
 * **Pool persistence.**  The executor survives across calls keyed by
   (worker count, payload identity): repeated renders of the same
-  scene/model — an eval ladder, a bench loop, the future ``serve``
-  daemon — reuse the warm workers instead of re-spawning and
-  re-shipping state.  A payload or width change retires the old pool.
-* **Nested-pool guard.**  Every repro pool worker (here *and* in
-  ``run_variants``) marks itself via the ``REPRO_POOL_WORKER`` env
-  flag; :func:`resolve_workers` returns 1 inside any such worker, so a
-  variant already fanned out by ``run_variants`` never oversubscribes
-  the host with a second layer of processes.
+  scene/model — an eval ladder, a bench loop, the ``serve`` daemon —
+  reuse the warm workers instead of re-spawning and re-shipping state.
+  A payload or width change retires the old pool.
+* **Nested-pool guard.**  Every pool worker marks itself via the
+  ``REPRO_POOL_WORKER`` env flag; :func:`resolve_workers` — the one
+  worker resolver — returns 1 inside any such worker, so a variant
+  already fanned out by ``run_variants`` never oversubscribes the host
+  with a second layer of processes.
 
 Fault tolerance (see :mod:`repro.core.faults` and
 ``docs/robustness.md``): every task gets a per-task timeout
 (``REPRO_TASK_TIMEOUT``) and a bounded retry budget
 (``REPRO_RETRIES``).  A crashed or hung worker re-executes *only its
-chunk* — completed chunks keep their results — with pooled retries
+task* — completed tasks keep their results — with pooled retries
 first and a final in-process attempt as the backstop, so the output is
 byte-identical to the sequential path no matter which workers died.
 ``BrokenProcessPool`` mid-run rebuilds the pool once before degrading
 to fully sequential execution; a timed-out pool (which still holds a
 hung worker) is retired without joining and respawned on the next
 attempt.  Every retry, rebuild, and degradation emits a structured
-event through :mod:`repro.core.log`; an exception raised *by a chunk
+event through :mod:`repro.core.log`; an exception raised *by a task
 function* propagates unchanged in every mode — retries are for
-infrastructure faults, not for deterministic chunk errors.
+infrastructure faults, not for deterministic task errors.
 """
 
 from __future__ import annotations
@@ -50,12 +60,14 @@ from __future__ import annotations
 import atexit
 import concurrent.futures
 import logging
+import os
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import faults, log
-from .runner import (POOL_WORKER_ENV, detect_workers, in_pool_worker,
-                     mark_pool_worker)
+from . import faults, knobs, log
+
+POOL_WORKER_ENV = "REPRO_POOL_WORKER"
+WORKERS_ENV = "REPRO_WORKERS"
 
 _LOG = log.get_logger("frame_pool")
 
@@ -71,9 +83,14 @@ _WORKER_PAYLOAD = None
 _UNSET = object()
 
 
+def in_pool_worker() -> bool:
+    """True inside any pool worker — a frame chunk or a variant unit."""
+    return os.environ.get(POOL_WORKER_ENV, "") == "1"
+
+
 def _init_worker(payload: tuple) -> None:
     global _WORKER_PAYLOAD
-    mark_pool_worker()
+    os.environ[POOL_WORKER_ENV] = "1"
     _WORKER_PAYLOAD = payload
 
 
@@ -87,19 +104,27 @@ def _run_task(function: Callable, args: tuple,
     return function(_WORKER_PAYLOAD, *args)
 
 
-def resolve_workers(num_tasks: int, workers: Optional[int] = None) -> int:
-    """Shard width for an intra-frame fan-out.
+def _call_unit(payload: tuple, function: Callable, kwargs: Dict):
+    return function(**kwargs)
 
-    ``workers=None`` autodetects (``REPRO_WORKERS`` env, then CPU
-    count) exactly like :func:`repro.core.detect_workers`; explicit
-    values clamp to ``[1, num_tasks]``.  Inside a pool worker — a
-    variant unit already running under ``run_variants``, or a frame
-    chunk itself — the answer is always 1: only the outermost layer of
-    parallelism may own the host's cores.
+
+def resolve_workers(num_tasks: int, workers: Optional[int] = None) -> int:
+    """Pool width for a fan-out of ``num_tasks`` tasks.
+
+    Priority: explicit ``workers`` argument, then the ``REPRO_WORKERS``
+    env knob, then ``os.cpu_count()``; always clamped to
+    ``[1, num_tasks]``.  Malformed values warn (``knob.ignored``) and
+    fall through to the next source; non-positive values clamp to 1,
+    forcing the sequential path.  Inside a pool worker the answer is
+    always 1: only the outermost layer of parallelism may own the
+    host's cores.
     """
     if in_pool_worker():
         return 1
-    return detect_workers(num_tasks, workers)
+    count = knobs.resolve(workers, WORKERS_ENV, None, int, "workers")
+    if count is None:
+        count = os.cpu_count() or 1
+    return max(1, min(count, max(int(num_tasks), 1)))
 
 
 def _payload_matches(held: tuple, payload: tuple) -> bool:
@@ -151,50 +176,10 @@ def _retire_pool_nowait() -> None:
 atexit.register(shutdown_pool)
 
 
-def _is_corrupt(value, validate: Optional[Callable], index: int) -> bool:
-    """A worker return that must be retried: the injected corrupt-result
-    marker, or a caller-supplied validator rejecting it."""
-    if isinstance(value, faults.CorruptResult):
-        return True
-    return validate is not None and not validate(value, index)
-
-
-def map_chunks(function: Callable, payload: tuple,
-               tasks: Sequence[tuple],
-               workers: Optional[int] = None,
-               timeout: Optional[float] = None,
-               retries: Optional[int] = None,
-               validate: Optional[Callable] = None) -> List:
-    """Run ``function(payload, *task)`` for every task, results in
-    task order.
-
-    With a resolved width of 1 (or a single task) the calls run in this
-    process against ``payload`` directly — the sequential path shares
-    the exact code the workers execute, and is also the final-attempt
-    backstop for every fault below.
-
-    Fault handling (per task; completed tasks never re-execute):
-
-    * a worker **crash** (``BrokenProcessPool``) re-submits only the
-      unfinished tasks to a pool rebuilt once; a second break degrades
-      the remaining tasks to sequential in-process execution;
-    * a **hung** task (no result within ``timeout`` seconds — argument,
-      else ``REPRO_TASK_TIMEOUT``, else off) is retried on a fresh
-      pool, the poisoned one retired without joining;
-    * a **corrupt** result (``validate(value, index)`` false, or an
-      injected :class:`repro.core.faults.CorruptResult`) is retried
-      like a crash;
-    * the retry budget (``retries`` argument, else ``REPRO_RETRIES``,
-      default 1) bounds pooled attempts at ``max(retries, 1)``; the
-      **final attempt** for any still-unfinished task always runs
-      in-process — it cannot crash or hang, so an infrastructure fault
-      never aborts the frame;
-    * an exception raised *by the chunk function* propagates unchanged
-      in either mode — never retried, never swallowed.
-
-    Every fallback/retry emits a structured :mod:`repro.core.log`
-    event; full-degradation events fire exactly once per degradation.
-    """
+def _execute(scope: str, function: Callable, payload: tuple,
+             tasks: Sequence[tuple], workers: Optional[int],
+             timeout: Optional[float], retries: Optional[int]) -> List:
+    """The one fault-tolerant loop behind both public wrappers."""
     tasks = list(tasks)
     count = resolve_workers(len(tasks), workers)
     if count <= 1 or len(tasks) <= 1:
@@ -215,32 +200,33 @@ def map_chunks(function: Callable, payload: tuple,
     while pending and degraded is None and \
             attempt < max(retries, 1) + (1 if rebuilt else 0):
         if attempt:
-            time.sleep(faults.backoff_delay(attempt - 1, salt="frame_pool"))
+            time.sleep(faults.backoff_delay(attempt - 1, salt=scope))
         try:
             executor = get_pool(payload, count)
             submitted: Dict[int, concurrent.futures.Future] = {}
             for index in pending:
-                fault = plan.fault_for(index, attempt, scope="frame_pool") \
+                fault = plan.fault_for(index, attempt, scope=scope) \
                     if plan else None
                 submitted[index] = executor.submit(
                     _run_task, function, tasks[index], fault, index)
         except concurrent.futures.process.BrokenProcessPool as error:
             # A worker died during spawn/submission.
             shutdown_pool()
-            log.event(_LOG, "frame_pool.pool_broken", error=str(error),
+            log.event(_LOG, f"{scope}.pool_broken", error=str(error),
                       attempt=attempt, pending=len(pending))
             if rebuilt:
                 degraded = "pool broke twice"
                 break
             rebuilt = True
-            log.event(_LOG, "frame_pool.pool_rebuild",
+            log.event(_LOG, f"{scope}.pool_rebuild",
                       level=logging.INFO, pending=len(pending))
             attempt += 1
             continue
         except OSError as error:
-            # Pool infrastructure unavailable (spawn/submit failed,
-            # e.g. a sandbox without process creation).  A chunk's own
-            # OSError surfaces from future.result() below instead.
+            # Pool infrastructure unavailable: worker processes spawn
+            # lazily inside ``submit``, so a sandbox that blocks process
+            # creation surfaces here, not in the constructor.  A task's
+            # own OSError surfaces from future.result() below instead.
             shutdown_pool()
             degraded = f"pool unavailable: {error}"
             break
@@ -254,9 +240,9 @@ def map_chunks(function: Callable, payload: tuple,
                 value = future.result(timeout=timeout)
             except concurrent.futures.TimeoutError:
                 if future.done():
-                    raise        # the chunk itself raised TimeoutError
+                    raise        # the task itself raised TimeoutError
                 timed_out = True
-                log.event(_LOG, "frame_pool.task_timeout", task=index,
+                log.event(_LOG, f"{scope}.task_timeout", task=index,
                           attempt=attempt, timeout_s=timeout)
                 retry.append(index)
                 continue
@@ -264,8 +250,8 @@ def map_chunks(function: Callable, payload: tuple,
                 broken = error
                 retry.append(index)
                 continue
-            if _is_corrupt(value, validate, index):
-                log.event(_LOG, "frame_pool.task_corrupt", task=index,
+            if isinstance(value, faults.CorruptResult):
+                log.event(_LOG, f"{scope}.task_corrupt", task=index,
                           attempt=attempt)
                 retry.append(index)
                 continue
@@ -274,13 +260,13 @@ def map_chunks(function: Callable, payload: tuple,
 
         if broken is not None:
             shutdown_pool()      # workers are dead; the join is instant
-            log.event(_LOG, "frame_pool.pool_broken", error=str(broken),
+            log.event(_LOG, f"{scope}.pool_broken", error=str(broken),
                       attempt=attempt, pending=len(pending))
             if rebuilt:
                 degraded = "pool broke twice"
             else:
                 rebuilt = True
-                log.event(_LOG, "frame_pool.pool_rebuild",
+                log.event(_LOG, f"{scope}.pool_rebuild",
                           level=logging.INFO, pending=len(pending))
         elif timed_out:
             # The pool still holds the hung worker: retire it without
@@ -289,12 +275,72 @@ def map_chunks(function: Callable, payload: tuple,
         attempt += 1
 
     if degraded is not None:
-        log.event(_LOG, "frame_pool.degraded_sequential", reason=degraded,
+        log.event(_LOG, f"{scope}.degraded_sequential", reason=degraded,
                   pending=len(pending))
-    if pending:
-        for index in pending:
-            if degraded is None:
-                log.event(_LOG, "frame_pool.task_inprocess",
-                          level=logging.INFO, task=index)
-            results[index] = function(payload, *tasks[index])
+    for index in pending:
+        if degraded is None:
+            log.event(_LOG, f"{scope}.task_inprocess",
+                      level=logging.INFO, task=index)
+        results[index] = function(payload, *tasks[index])
     return results
+
+
+def map_chunks(function: Callable, payload: tuple,
+               tasks: Sequence[tuple],
+               workers: Optional[int] = None,
+               timeout: Optional[float] = None,
+               retries: Optional[int] = None) -> List:
+    """Run ``function(payload, *task)`` for every task, results in
+    task order.
+
+    With a resolved width of 1 (or a single task) the calls run in this
+    process against ``payload`` directly — the sequential path shares
+    the exact code the workers execute, and is also the final-attempt
+    backstop for every fault below.
+
+    Fault handling (per task; completed tasks never re-execute):
+
+    * a worker **crash** (``BrokenProcessPool``) re-submits only the
+      unfinished tasks to a pool rebuilt once; a second break degrades
+      the remaining tasks to sequential in-process execution;
+    * a **hung** task (no result within ``timeout`` seconds — argument,
+      else ``REPRO_TASK_TIMEOUT``, else off) is retried on a fresh
+      pool, the poisoned one retired without joining;
+    * a **corrupt** result (an injected
+      :class:`repro.core.faults.CorruptResult`) is retried like a
+      crash;
+    * the retry budget (``retries`` argument, else ``REPRO_RETRIES``,
+      default 1) bounds pooled attempts at ``max(retries, 1)``; the
+      **final attempt** for any still-unfinished task always runs
+      in-process — it cannot crash or hang, so an infrastructure fault
+      never aborts the frame;
+    * an exception raised *by the chunk function* — including OSError
+      subclasses — propagates unchanged in either mode, never retried,
+      never swallowed.
+
+    Every fallback/retry emits a structured ``frame_pool.*`` event;
+    full-degradation events fire exactly once per degradation.
+    """
+    return _execute("frame_pool", function, payload, tasks, workers,
+                    timeout, retries)
+
+
+def run_variants(tasks: Sequence[Tuple[Callable, Dict]],
+                 workers: Optional[int] = None,
+                 timeout: Optional[float] = None,
+                 retries: Optional[int] = None) -> List:
+    """Run ``function(**kwargs)`` for every ``(function, kwargs)``
+    unit, results in task order.
+
+    The same loop and fault handling as :func:`map_chunks` (functions
+    must be module-level so they pickle), with ``run_variants.*``
+    events and fault scope.  A sequential resolution (``workers=1``, a
+    single task, a 1-CPU host, or a call from inside a pool worker)
+    never constructs a ``ProcessPoolExecutor``, so a sequential harness
+    run pays zero spawn cost.  The pool is shut down before returning.
+    """
+    try:
+        return _execute("run_variants", _call_unit, (), tasks, workers,
+                        timeout, retries)
+    finally:
+        shutdown_pool()

@@ -7,8 +7,7 @@ Every experiment is a registered, declarative object with four hooks —
   (worker processes rebuild it deterministically from the unit args);
 * ``units(ctx, params, shared)`` -> a picklable ``(function, kwargs)``
   task list, fanned out over :func:`repro.core.run_variants`;
-* ``reduce(results, params)``    -> the experiment's row structure
-  (what the legacy ``run_*`` functions returned);
+* ``reduce(results, params)``    -> the experiment's row structure;
 * ``render(rows, params)``       -> the committed artefact text under
   ``benchmarks/results/`` — byte-identical to the historical
   harness output.
@@ -31,9 +30,9 @@ from ..scenes.datasets import DATASETS
 from . import experiments as E
 from .context import LLFF_EVAL_SCENES, RunContext
 from .figures import ascii_line_chart, stacked_latency_chart
+from .frame_pool import run_variants
 from .pipeline import CoDesignPipeline
 from .reporting import format_table, ratio_note
-from .runner import run_variants
 from .scene_cache import exported_cache_knob
 from . import serve as S
 

@@ -48,8 +48,8 @@ def exported_cache_knob(cache_dir: Optional[str]):
 
     This is how a :class:`repro.core.context.RunContext.cache_dir` (or
     the CLI's ``--cache-dir``) reaches every consumer — the sequential
-    unit path *and* ``run_variants`` pool workers, which inherit the
-    environment.  ``None`` (unspecified) leaves the environment alone;
+    unit path *and* ``run_variants`` pool workers, which are spawned
+    fresh for each call and inherit the environment.  ``None`` (unspecified) leaves the environment alone;
     off-values pass through and disable the cache as usual.
     """
     if cache_dir is None:

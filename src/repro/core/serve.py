@@ -71,7 +71,7 @@ import numpy as np
 from .. import models as M
 from ..geometry.rays import RayBundle, image_shape_for_step, rays_for_image
 from ..scenes.datasets import make_scene
-from . import faults, frame_pool, log
+from . import faults, frame_pool, knobs, log
 from .reporting import format_table
 from .scene_cache import SceneCache, source_images_key
 
@@ -89,38 +89,29 @@ _UNRESOLVED = object()        # "cache unspecified" sentinel (see context)
 
 
 # ----------------------------------------------------------------------
-# Env knobs (lenient, like REPRO_WORKERS / REPRO_RETRIES)
+# Env knobs (lenient, see repro.core.knobs)
 # ----------------------------------------------------------------------
-def _detect_knob(value, env: str, default: int, floor: int) -> int:
-    if value is not None:
-        value = faults._parse_number(value, env.lower(), int)
-    if value is None:
-        env_value = os.environ.get(env)
-        if env_value is not None and env_value.strip():
-            value = faults._parse_number(env_value, env, int)
-    if value is None:
-        value = default
-    return max(int(value), floor)
-
-
 def detect_batch_window(window=None) -> int:
     """Resolve the batching window in ticks: explicit argument, then
     the ``REPRO_BATCH_WINDOW`` env knob, then the default.  Malformed
     values warn (``knob.ignored``) and fall through; negatives clamp to
     0 (dispatch every tick)."""
-    return _detect_knob(window, WINDOW_ENV, DEFAULT_BATCH_WINDOW, 0)
+    return max(knobs.resolve(window, WINDOW_ENV, DEFAULT_BATCH_WINDOW,
+                             int), 0)
 
 
 def detect_max_batch(max_batch=None) -> int:
     """Resolve the per-dispatch ray budget: explicit argument, then the
     ``REPRO_MAX_BATCH`` env knob, then the default; clamps at 1."""
-    return _detect_knob(max_batch, MAX_BATCH_ENV, DEFAULT_MAX_BATCH, 1)
+    return max(knobs.resolve(max_batch, MAX_BATCH_ENV, DEFAULT_MAX_BATCH,
+                             int), 1)
 
 
 def detect_queue_limit(limit=None) -> int:
     """Resolve the in-flight high-water mark: explicit argument, then
     the ``REPRO_QUEUE_LIMIT`` env knob, then the default; clamps at 1."""
-    return _detect_knob(limit, QUEUE_ENV, DEFAULT_QUEUE_LIMIT, 1)
+    return max(knobs.resolve(limit, QUEUE_ENV, DEFAULT_QUEUE_LIMIT, int),
+               1)
 
 
 # ----------------------------------------------------------------------

@@ -41,8 +41,6 @@ The knob mirrors ``REPRO_SPARSE``: on by default, lenient parsing, CLI
 
 from __future__ import annotations
 
-import logging
-import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -52,32 +50,10 @@ from .ibrnet import _SGEMM_KERNEL_SWITCH_CELLS
 
 FOOTPRINT_ENV = "REPRO_FOOTPRINT"
 
-_TRUE_WORDS = frozenset({"1", "true", "yes", "on"})
-_FALSE_WORDS = frozenset({"0", "false", "no", "off"})
-
-_LOG = logging.getLogger("repro.models.footprint")
-
 # Process-wide counters, mirroring ``ibrnet.PACK_STATS``: how many
 # training encodes ran footprint-restricted vs fell back to the dense
 # conv stack (saturated footprint, infeasible kernel regime, knob off).
 FOOTPRINT_STATS = {"footprint": 0, "dense": 0}
-
-
-def parse_footprint_flag(value, source: str = FOOTPRINT_ENV
-                         ) -> Optional[bool]:
-    """Best-effort boolean parse; ``None`` (with a structured warning)
-    on malformed input, so a typo'd knob degrades to the default."""
-    text = str(value).strip().lower()
-    if text in _TRUE_WORDS:
-        return True
-    if text in _FALSE_WORDS:
-        return False
-    # Imported lazily for the same package-init cycle reason as
-    # :mod:`repro.models.sparse`.
-    from ..core import log
-    log.event(_LOG, "knob.ignored", level=logging.WARNING,
-              knob=source, value=value)
-    return None
 
 
 def footprint_enabled(override: Optional[bool] = None) -> bool:
@@ -88,14 +64,11 @@ def footprint_enabled(override: Optional[bool] = None) -> bool:
     env knob, then the default (on).  Empty/whitespace env values are
     skipped; malformed values warn and fall through.
     """
-    if override is not None:
-        return bool(override)
-    env = os.environ.get(FOOTPRINT_ENV)
-    if env is not None and env.strip():
-        parsed = parse_footprint_flag(env)
-        if parsed is not None:
-            return parsed
-    return True
+    # Imported lazily for the same package-init cycle reason as
+    # :mod:`repro.models.sparse`.
+    from ..core import knobs
+    return knobs.resolve(override, FOOTPRINT_ENV, True, knobs.parse_flag,
+                         "footprint")
 
 
 @dataclass

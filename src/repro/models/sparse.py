@@ -9,41 +9,16 @@ for turning the machinery off wholesale if a future BLAS build breaks
 the kernel-regime model the packing relies on.
 
 Parsing is lenient, like every other ``REPRO_*`` knob (see
-:mod:`repro.core.faults`): a malformed value warns through the
+:mod:`repro.core.knobs`): a malformed value warns through the
 structured log and falls back to the default instead of crashing a
 long render.
 """
 
 from __future__ import annotations
 
-import logging
-import os
 from typing import Optional
 
 SPARSE_ENV = "REPRO_SPARSE"
-
-_TRUE_WORDS = frozenset({"1", "true", "yes", "on"})
-_FALSE_WORDS = frozenset({"0", "false", "no", "off"})
-
-_LOG = logging.getLogger("repro.models.sparse")
-
-
-def parse_sparse_flag(value, source: str = SPARSE_ENV) -> Optional[bool]:
-    """Best-effort boolean parse; ``None`` (with a structured warning)
-    on malformed input, so a typo'd knob degrades to the default."""
-    text = str(value).strip().lower()
-    if text in _TRUE_WORDS:
-        return True
-    if text in _FALSE_WORDS:
-        return False
-    # Imported lazily: this module loads from ``models.ibrnet`` before
-    # the ``models`` package finishes initialising, and ``repro.core``'s
-    # package init imports back into ``models`` — a module-level import
-    # here would re-enter the half-initialised package.
-    from ..core import log
-    log.event(_LOG, "knob.ignored", level=logging.WARNING,
-              knob=source, value=value)
-    return None
 
 
 def sparse_enabled(override: Optional[bool] = None) -> bool:
@@ -54,11 +29,10 @@ def sparse_enabled(override: Optional[bool] = None) -> bool:
     then the default (on).  Empty/whitespace env values are skipped;
     malformed values warn and fall through.
     """
-    if override is not None:
-        return bool(override)
-    env = os.environ.get(SPARSE_ENV)
-    if env is not None and env.strip():
-        parsed = parse_sparse_flag(env)
-        if parsed is not None:
-            return parsed
-    return True
+    # Imported lazily: this module loads from ``models.ibrnet`` before
+    # the ``models`` package finishes initialising, and ``repro.core``'s
+    # package init imports back into ``models`` — a module-level import
+    # here would re-enter the half-initialised package.
+    from ..core import knobs
+    return knobs.resolve(override, SPARSE_ENV, True, knobs.parse_flag,
+                         "sparse")

@@ -1,31 +1,36 @@
 """Experiment registry smoke tests (fast configurations).
 
 Full paper-scale regeneration lives in ``benchmarks/``; here each
-runner executes with reduced knobs and its output structure is checked.
+experiment runs with reduced knobs and its output structure is checked.
 """
 
-import numpy as np
 import pytest
 
 from repro import core
+from repro.core import RunContext, get_experiment
+
+
+def _rows(name, workers=None, **overrides):
+    return get_experiment(name).run(RunContext(workers=workers),
+                                    **overrides).rows
 
 
 class TestCheapRunners:
     def test_table1_rows(self):
-        rows = core.run_table1()
+        rows = _rows("table1")
         assert len(rows) == 5
         names = [row[0] for row in rows]
         assert "Total" in names
 
     def test_fig2_structure(self):
-        results = core.run_fig2()
+        results = _rows("fig2")
         assert set(results) == {"rtx2080ti", "tx2"}
         llff = results["rtx2080ti"]["llff"]
         assert llff["acquire_features"] > 0
         assert llff["total"] >= llff["acquire_features"]
 
     def test_table4_rows(self):
-        rows = core.run_table4()
+        rows = _rows("table4")
         devices = [row["device"] for row in rows]
         assert any("simulated" in d for d in devices)
         assert any("ICARUS" in d for d in devices)
@@ -35,10 +40,9 @@ class TestCheapRunners:
 
 class TestFig9Small:
     def test_curve_structure_and_ordering(self):
-        results = core.run_fig9(datasets=["nerf_synthetic"], step=8,
-                                image_scale=1 / 12,
-                                pairs=((8, 16),),
-                                uniform_points=(24,))
+        results = _rows("fig9", datasets=("nerf_synthetic",), step=8,
+                        image_scale=1 / 12, pairs=((8, 16),),
+                        uniform_points=(24,))
         curves = results["nerf_synthetic"]
         gen = curves["gen_nerf"][0]
         ibr = curves["ibrnet"][0]
@@ -49,14 +53,13 @@ class TestFig9Small:
 
 class TestAblationRunners:
     def test_coarse_budget_rows(self):
-        rows = core.run_coarse_budget_ablation(
-            image_scale=1 / 16, step=8, coarse_counts=(8,), taus=(1e-3,),
-            focused=16)
+        rows = _rows("ablation_coarse_budget", image_scale=1 / 16, step=8,
+                     coarse_counts=(8,), taus=(1e-3,), focused=16)
         assert len(rows) == 1
         assert rows[0]["psnr"] > 20
 
     def test_patch_candidate_rows(self):
-        rows = core.run_patch_candidate_ablation()
+        rows = _rows("ablation_patch_candidates")
         assert len(rows) >= 3
         assert all(row["fps"] > 0 for row in rows)
 
@@ -64,26 +67,30 @@ class TestAblationRunners:
 @pytest.mark.slow
 class TestTrainingRunners:
     def test_table2_tiny(self):
-        rows = core.run_table2(train_steps=12, eval_step=16,
-                               image_scale=1 / 16, num_points=12,
-                               scenes=("fortress",), num_source_views=4)
+        rows = _rows("table2", train_steps=12, eval_step=16,
+                     image_scale=1 / 16, num_points=12,
+                     scenes=("fortress",), num_source_views=4)
         methods = [row.method for row in rows]
         assert "vanilla IBRNet" in methods
         assert any("Ray-Mixer" in m for m in methods)
         assert len(rows) == 7
 
     def test_table3_tiny(self):
-        rows = core.run_table3(train_steps=10, finetune_steps=4,
-                               eval_step=16, image_scale=1 / 16,
-                               num_points=10, view_counts=(4,))
+        rows = _rows("table3", train_steps=10, finetune_steps=4,
+                     eval_step=16, image_scale=1 / 16, num_points=10,
+                     view_counts=(4,))
         assert len(rows) == 2
         assert all(row.per_scene for row in rows)
 
 
 # ----------------------------------------------------------------------
-# Multi-process variant runner
+# Multi-process variant fan-out
 # ----------------------------------------------------------------------
 def _square(value):          # module-level so process pools can pickle it
+    return value * value
+
+
+def _square_chunk(payload, value):
     return value * value
 
 
@@ -140,11 +147,12 @@ class TestVariantRunner:
         with open(marker) as handle:
             assert len(handle.readlines()) == 1
 
+    @pytest.mark.parametrize("scope", ["run_variants", "frame_pool"])
     def test_blocked_process_spawning_falls_back_sequentially(
-            self, monkeypatch):
+            self, monkeypatch, scope):
         # Worker processes spawn lazily inside ``submit``; a sandbox
         # that blocks process creation surfaces a PermissionError there
-        # and the runner must fall back to the sequential path instead
+        # and the executor must fall back to the sequential path instead
         # of crashing the harness.
         import concurrent.futures
 
@@ -154,69 +162,13 @@ class TestVariantRunner:
         monkeypatch.setattr(
             concurrent.futures.ProcessPoolExecutor, "submit",
             blocked_submit)
-        tasks = [(_square, {"value": v}) for v in range(3)]
-        assert core.run_variants(tasks, workers=2) == [0, 1, 4]
-
-    def test_detect_workers_precedence(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "6")
-        assert core.detect_workers(10) == 6          # env wins over cpu
-        assert core.detect_workers(3) == 3           # clamped to tasks
-        assert core.detect_workers(10, workers=2) == 2   # arg wins over env
-        monkeypatch.setenv("REPRO_WORKERS", "not-a-number")
-        assert core.detect_workers(1) == 1           # bad env ignored
-        monkeypatch.delenv("REPRO_WORKERS")
-        assert core.detect_workers(0) == 1           # never below one
-
-    def test_detect_workers_malformed_env_falls_back(self, monkeypatch,
-                                                     caplog):
-        # Malformed REPRO_WORKERS values must fall back cleanly, never
-        # raise mid-harness: non-numeric degrades to CPU autodetection
-        # with a structured knob.ignored warning, non-positive clamps
-        # to the sequential path (the historical semantics of
-        # REPRO_WORKERS=0).
-        import logging
-
-        from repro.core import log, runner
-
-        monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
-        with caplog.at_level(logging.WARNING, logger="repro"):
-            for bad in ("not-a-number", "2.5"):
-                caplog.clear()
-                monkeypatch.setenv("REPRO_WORKERS", bad)
-                assert core.detect_workers(10) == 4, bad
-                assert log.events_named(caplog.records, "knob.ignored")
-            for sequential in ("0", "-3"):
-                caplog.clear()
-                monkeypatch.setenv("REPRO_WORKERS", sequential)
-                assert core.detect_workers(10) == 1, sequential
-                assert not caplog.records
-            # Empty / whitespace-only values are silently skipped.
-            for empty in ("", "   "):
-                caplog.clear()
-                monkeypatch.setenv("REPRO_WORKERS", empty)
-                assert core.detect_workers(10) == 4
-                assert not caplog.records
-        # Whitespace-padded integers still parse.
-        monkeypatch.setenv("REPRO_WORKERS", "  3  ")
-        assert core.detect_workers(10) == 3
-
-    def test_detect_workers_malformed_argument_falls_back(
-            self, monkeypatch, caplog):
-        import logging
-
-        from repro.core import log, runner
-
-        monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        with caplog.at_level(logging.WARNING, logger="repro"):
-            assert core.detect_workers(10, workers="garbage") == 4
-        record, = log.events_named(caplog.records, "knob.ignored")
-        assert record.repro_fields["knob"] == "workers"
-        # Explicit non-positive counts keep the historical clamp to the
-        # sequential path (not a silent upgrade to full parallelism).
-        assert core.detect_workers(10, workers=0) == 1
-        assert core.detect_workers(10, workers=-2) == 1
-        assert core.detect_workers(10, workers="5") == 5  # str int ok
+        if scope == "run_variants":
+            tasks = [(_square, {"value": v}) for v in range(3)]
+            assert core.run_variants(tasks, workers=2) == [0, 1, 4]
+        else:
+            tasks = [(v,) for v in range(3)]
+            assert core.map_chunks(_square_chunk, (), tasks,
+                                   workers=2) == [0, 1, 4]
 
 
 @pytest.mark.slow
@@ -233,23 +185,23 @@ class TestParallelFigureHarness:
         kwargs = dict(train_steps=6, eval_step=16, image_scale=1 / 16,
                       num_points=10, scenes=("fortress",),
                       num_source_views=4)
-        sequential = core.run_table2(workers=1, **kwargs)
-        parallel = core.run_table2(workers=3, **kwargs)
+        sequential = _rows("table2", workers=1, **kwargs)
+        parallel = _rows("table2", workers=3, **kwargs)
         assert self._as_tuples(sequential) == self._as_tuples(parallel)
 
     def test_table3_rows_identical_across_runners(self):
         kwargs = dict(train_steps=5, finetune_steps=3, eval_step=16,
                       image_scale=1 / 16, num_points=10, view_counts=(4,))
-        sequential = core.run_table3(workers=1, **kwargs)
-        parallel = core.run_table3(workers=2, **kwargs)
+        sequential = _rows("table3", workers=1, **kwargs)
+        parallel = _rows("table3", workers=2, **kwargs)
         assert self._as_tuples(sequential) == self._as_tuples(parallel)
 
     def test_fig9_curves_identical_across_runners(self):
-        kwargs = dict(datasets=["nerf_synthetic", "llff"], step=16,
+        kwargs = dict(datasets=("nerf_synthetic", "llff"), step=16,
                       image_scale=1 / 16, pairs=((4, 8),),
                       uniform_points=(12,), reference_points=64)
-        sequential = core.run_fig9(workers=1, **kwargs)
-        parallel = core.run_fig9(workers=2, **kwargs)
+        sequential = _rows("fig9", workers=1, **kwargs)
+        parallel = _rows("fig9", workers=2, **kwargs)
         assert list(sequential) == list(parallel)
         for dataset in sequential:
             for curve in ("gen_nerf", "ibrnet"):
@@ -262,8 +214,8 @@ class TestParallelFigureHarness:
 
     def test_fig11_rows_identical_across_runners(self):
         kwargs = dict(view_counts=(6, 2), point_counts=(96,))
-        sequential = core.run_fig11(workers=1, **kwargs)
-        parallel = core.run_fig11(workers=3, **kwargs)
+        sequential = _rows("fig11", workers=1, **kwargs)
+        parallel = _rows("fig11", workers=3, **kwargs)
         assert sequential == parallel
         assert [row["num_views"] for row in sequential["views"]] == [6, 2]
         assert [row["points_per_ray"]

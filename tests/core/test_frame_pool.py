@@ -1,6 +1,9 @@
-"""Intra-frame worker pool: dispatch, persistence, guards, fallback.
+"""The pool executor: dispatch, persistence, guards, fallback.
 
-The byte-identity of *real* sharded work (image renders, frame
+Both public wrappers — ``map_chunks`` (scope ``frame_pool``) and
+``run_variants`` (scope ``run_variants``) — run the same loop; drills
+that apply to either are parametrized over the scope.  The
+byte-identity of *real* sharded work (image renders, frame
 simulations) is pinned in ``tests/models/test_render_sharded.py`` and
 ``tests/hardware/test_frame_sim_sharded.py``; this suite covers the
 pool machinery itself with cheap picklable functions.
@@ -11,9 +14,9 @@ import logging
 
 import pytest
 
-from repro.core import faults, frame_pool, log, runner
+from repro.core import faults, frame_pool, log
 from repro.core.faults import FaultPlan, FaultSpec, injected_faults
-from repro.core.runner import POOL_WORKER_ENV, in_pool_worker
+from repro.core.frame_pool import POOL_WORKER_ENV, in_pool_worker
 
 
 # Module-level so process pools can pickle them.
@@ -40,6 +43,24 @@ def _worker_flag(payload):
 
 def _flag_unit():
     return in_pool_worker()
+
+
+def _scaled_unit(scale, value):
+    return scale * value
+
+
+SCOPES = ("frame_pool", "run_variants")
+
+
+def _run_scaled(scope, scale, values, **kwargs):
+    """``scale * value`` per task through the wrapper named by scope."""
+    if scope == "frame_pool":
+        return frame_pool.map_chunks(_scaled, (scale,),
+                                     [(value,) for value in values],
+                                     **kwargs)
+    return frame_pool.run_variants(
+        [(_scaled_unit, {"scale": scale, "value": value})
+         for value in values], **kwargs)
 
 
 @pytest.fixture(autouse=True)
@@ -100,25 +121,26 @@ class TestMapChunks:
             frame_pool.map_chunks(_chunk_oserror, (0,), [(1,), (2,)],
                                   workers=2)
 
+    @pytest.mark.parametrize("scope", SCOPES)
     def test_pool_spawn_failure_falls_back_sequentially(self, monkeypatch,
-                                                        caplog):
+                                                        caplog, scope):
         def broken_pool(payload, workers):
             raise OSError("no process spawning here")
 
         monkeypatch.setattr(frame_pool, "get_pool", broken_pool)
         with caplog.at_level(logging.WARNING, logger="repro"):
-            results = frame_pool.map_chunks(_scaled, (5,),
-                                            [(1,), (2,), (3,)], workers=3)
+            results = _run_scaled(scope, 5, [1, 2, 3], workers=3)
         assert results == [5, 10, 15]
         # Satellite requirement: the sequential fallback is reported as
         # a structured event exactly once per degradation.
         degraded = log.events_named(caplog.records,
-                                    "frame_pool.degraded_sequential")
+                                    f"{scope}.degraded_sequential")
         assert len(degraded) == 1
         assert "pool unavailable" in degraded[0].repro_fields["reason"]
 
+    @pytest.mark.parametrize("scope", SCOPES)
     def test_broken_pool_falls_back_sequentially(self, monkeypatch,
-                                                 caplog):
+                                                 caplog, scope):
         class BrokenExecutor:
             def submit(self, *args, **kwargs):
                 raise concurrent.futures.process.BrokenProcessPool(
@@ -127,15 +149,14 @@ class TestMapChunks:
         monkeypatch.setattr(frame_pool, "get_pool",
                             lambda payload, workers: BrokenExecutor())
         with caplog.at_level(logging.WARNING, logger="repro"):
-            results = frame_pool.map_chunks(_scaled, (7,), [(1,), (2,)],
-                                            workers=2)
+            results = _run_scaled(scope, 7, [1, 2], workers=2)
         assert results == [7, 14]
         # Break -> rebuild once -> break again -> degrade: one rebuild
         # attempt, then exactly one degradation event.
-        broken = log.events_named(caplog.records, "frame_pool.pool_broken")
+        broken = log.events_named(caplog.records, f"{scope}.pool_broken")
         assert len(broken) == 2
         degraded = log.events_named(caplog.records,
-                                    "frame_pool.degraded_sequential")
+                                    f"{scope}.degraded_sequential")
         assert len(degraded) == 1
         assert degraded[0].repro_fields["reason"] == "pool broke twice"
 
@@ -180,10 +201,42 @@ class TestNestedPoolGuard:
         monkeypatch.setenv(POOL_WORKER_ENV, "1")
         assert frame_pool.resolve_workers(100, workers=8) == 1
 
-    def test_resolve_workers_outside_matches_detect(self, monkeypatch):
+    # (REPRO_WORKERS, num_tasks, workers argument, expected width, the
+    # knob a knob.ignored warning names or None) on a 4-CPU host.
+    @pytest.mark.parametrize("env, tasks, workers, expected, ignored", [
+        (None, 10, 4, 4, None),
+        (None, 10, None, 4, None),               # cpu count
+        ("6", 10, None, 6, None),                # env wins over cpu
+        ("6", 3, None, 3, None),                 # clamped to tasks
+        ("6", 10, 2, 2, None),                   # argument wins over env
+        ("  3  ", 10, None, 3, None),            # padded integers parse
+        ("", 10, None, 4, None),                 # blank env skipped
+        ("   ", 10, None, 4, None),
+        ("not-a-number", 10, None, 4, "REPRO_WORKERS"),
+        ("2.5", 10, None, 4, "REPRO_WORKERS"),
+        ("not-a-number", 1, None, 1, "REPRO_WORKERS"),
+        ("0", 10, None, 1, None),                # non-positive: sequential
+        ("-3", 10, None, 1, None),
+        (None, 0, None, 1, None),                # never below one
+        (None, 10, "garbage", 4, "workers"),
+        (None, 10, 0, 1, None),
+        (None, 10, -2, 1, None),
+        (None, 10, "5", 5, None),                # str int ok
+    ])
+    def test_resolve_workers_outside_pool_worker(self, monkeypatch, caplog,
+                                                 env, tasks, workers,
+                                                 expected, ignored):
         monkeypatch.delenv(POOL_WORKER_ENV, raising=False)
-        assert frame_pool.resolve_workers(10, workers=4) == \
-            runner.detect_workers(10, 4)
+        monkeypatch.setattr(frame_pool.os, "cpu_count", lambda: 4)
+        if env is None:
+            monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_WORKERS", env)
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            assert frame_pool.resolve_workers(tasks, workers) == expected
+        knobs = [record.repro_fields["knob"] for record in
+                 log.events_named(caplog.records, "knob.ignored")]
+        assert knobs == ([ignored] if ignored else [])
 
     def test_frame_pool_workers_are_marked(self):
         flags = frame_pool.map_chunks(_worker_flag, (0,), [(), ()],
@@ -192,10 +245,23 @@ class TestNestedPoolGuard:
         assert not in_pool_worker()      # the parent stays unmarked
 
     def test_run_variants_workers_are_marked(self):
-        flags = runner.run_variants([(_flag_unit, {}), (_flag_unit, {})],
-                                    workers=2)
+        flags = frame_pool.run_variants(
+            [(_flag_unit, {}), (_flag_unit, {})], workers=2)
         assert flags == [True, True]
         assert not in_pool_worker()
+        assert frame_pool._POOL is None      # workers never outlive it
+
+    def test_run_variants_inside_pool_worker_stays_in_process(
+            self, monkeypatch):
+        def bomb(*args, **kwargs):
+            raise AssertionError("ProcessPoolExecutor constructed inside "
+                                 "a pool worker")
+
+        monkeypatch.setenv(POOL_WORKER_ENV, "1")
+        monkeypatch.setattr(frame_pool.concurrent.futures,
+                            "ProcessPoolExecutor", bomb)
+        assert frame_pool.run_variants(
+            [(_flag_unit, {}), (_flag_unit, {})], workers=2) == [True, True]
 
 
 def _unit_triple(value=0):
@@ -261,30 +327,15 @@ class TestMapChunksFaultInjection:
                                    "frame_pool.task_corrupt")
         assert [r.repro_fields["task"] for r in corrupt] == [3]
 
-    def test_validate_hook_rejections_are_retried(self, caplog):
-        rejected = []
-
-        def validate(value, index):
-            # Parent-side validator: reject task 1's first result only.
-            if index == 1 and not rejected:
-                rejected.append(index)
-                return False
-            return True
-
-        with caplog.at_level(logging.WARNING, logger="repro"):
-            results = frame_pool.map_chunks(
-                _scaled, (5,), [(i,) for i in range(4)],
-                workers=2, validate=validate)
-        assert results == self.EXPECTED
-        assert rejected == [1]
-        assert log.events_named(caplog.records, "frame_pool.task_corrupt")
-
-    def test_scope_mismatch_injects_nothing(self):
+    @pytest.mark.parametrize("scope", SCOPES)
+    def test_scope_mismatch_injects_nothing(self, scope):
+        other, = set(SCOPES) - {scope}
         plan = FaultPlan(tasks={0: FaultSpec("crash",
                                              attempts=tuple(range(8)))},
-                         scope="run_variants")
+                         scope=other)
         with injected_faults(plan):
-            assert self._run() == self.EXPECTED
+            assert _run_scaled(scope, 5, range(4),
+                               workers=2) == self.EXPECTED
 
 
 class TestRunVariantsFaultInjection:
@@ -296,8 +347,8 @@ class TestRunVariantsFaultInjection:
                          scope="run_variants")
         with caplog.at_level(logging.INFO, logger="repro"):
             with injected_faults(plan):
-                assert runner.run_variants(self.TASKS,
-                                           workers=2) == self.EXPECTED
+                assert frame_pool.run_variants(
+                    self.TASKS, workers=2) == self.EXPECTED
         assert log.events_named(caplog.records, "run_variants.pool_broken")
         assert log.events_named(caplog.records,
                                 "run_variants.pool_rebuild")
@@ -312,8 +363,8 @@ class TestRunVariantsFaultInjection:
                          scope="run_variants")
         with caplog.at_level(logging.WARNING, logger="repro"):
             with injected_faults(plan):
-                results = runner.run_variants(self.TASKS, workers=2,
-                                              timeout=0.25)
+                results = frame_pool.run_variants(self.TASKS, workers=2,
+                                                  timeout=0.25)
         assert results == self.EXPECTED
         timeouts = log.events_named(caplog.records,
                                     "run_variants.task_timeout")
@@ -326,8 +377,8 @@ class TestRunVariantsFaultInjection:
                          scope="run_variants")
         with caplog.at_level(logging.WARNING, logger="repro"):
             with injected_faults(plan):
-                assert runner.run_variants(self.TASKS, workers=2,
-                                           retries=3) == self.EXPECTED
+                assert frame_pool.run_variants(
+                    self.TASKS, workers=2, retries=3) == self.EXPECTED
         degraded = log.events_named(caplog.records,
                                     "run_variants.degraded_sequential")
         assert len(degraded) == 1
@@ -337,8 +388,8 @@ class TestRunVariantsFaultInjection:
                          scope="run_variants")
         with caplog.at_level(logging.WARNING, logger="repro"):
             with injected_faults(plan):
-                assert runner.run_variants(self.TASKS,
-                                           workers=2) == self.EXPECTED
+                assert frame_pool.run_variants(
+                    self.TASKS, workers=2) == self.EXPECTED
         assert log.events_named(caplog.records,
                                 "run_variants.task_corrupt")
 
@@ -351,17 +402,17 @@ class TestRunVariantsPoolBypass:
             raise AssertionError("ProcessPoolExecutor constructed for a "
                                  "sequential run")
 
-        monkeypatch.setattr(runner.concurrent.futures,
+        monkeypatch.setattr(frame_pool.concurrent.futures,
                             "ProcessPoolExecutor", bomb)
         tasks = [(_flag_unit, {}), (_flag_unit, {})]
-        assert runner.run_variants(tasks, workers=1) == [False, False]
+        assert frame_pool.run_variants(tasks, workers=1) == [False, False]
 
     def test_single_task_never_constructs_pool(self, monkeypatch):
         def bomb(*args, **kwargs):
             raise AssertionError("ProcessPoolExecutor constructed for a "
                                  "single task")
 
-        monkeypatch.setattr(runner.concurrent.futures,
+        monkeypatch.setattr(frame_pool.concurrent.futures,
                             "ProcessPoolExecutor", bomb)
-        assert runner.run_variants([(_flag_unit, {})],
-                                   workers=8) == [False]
+        assert frame_pool.run_variants([(_flag_unit, {})],
+                                       workers=8) == [False]

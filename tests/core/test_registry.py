@@ -1,11 +1,8 @@
 """Experiment-registry round-trip suite.
 
-Every registered experiment must list, declare a committed artefact,
-and — at downscaled parameters — produce rows matching the legacy
-``run_*`` entry points (which now delegate through the registry, so
-this pins the wrapper's parameter mapping).  The cheap experiments
-additionally pin the registry's rendered text byte-identical to the
-committed artefacts.
+Every registered experiment must list and declare a committed
+artefact.  The cheap experiments additionally pin the registry's
+rendered text byte-identical to the committed artefacts.
 """
 
 import os
@@ -130,79 +127,6 @@ class TestArtefactByteIdentity:
         committed = open(os.path.join(
             RESULTS_DIR, f"{experiment.artefact}.txt")).read()
         assert experiment.run().text + "\n" == committed
-
-
-class TestRegistryMatchesLegacy:
-    """Downscaled registry runs return exactly what the legacy entry
-    points return (same structures, same values)."""
-
-    def test_table1(self):
-        assert get_experiment("table1").run().rows == core.run_table1()
-
-    def test_fig2(self):
-        assert get_experiment("fig2").run().rows == core.run_fig2()
-
-    def test_table4(self):
-        assert get_experiment("table4").run().rows == core.run_table4()
-
-    def test_fig9_tiny(self):
-        overrides = dict(datasets=("nerf_synthetic",), step=16,
-                         image_scale=1 / 16, pairs=((4, 8),),
-                         uniform_points=(12,), reference_points=64)
-        via_registry = get_experiment("fig9").run(**overrides).rows
-        legacy = core.run_fig9(**overrides)
-        assert via_registry == legacy
-
-    def test_fig11_tiny(self):
-        overrides = dict(view_counts=(6, 2), point_counts=(96,))
-        via_registry = get_experiment("fig11").run(**overrides).rows
-        assert via_registry == core.run_fig11(**overrides)
-        assert [row["num_views"]
-                for row in via_registry["views"]] == [6, 2]
-
-    def test_fig12_tiny(self):
-        overrides = dict(view_counts=(2,))
-        via_registry = get_experiment("fig12").run(**overrides).rows
-        assert via_registry == core.run_fig12(**overrides)
-        assert set(via_registry[2]) == {"ours", "var1", "var2", "var3"}
-
-    def test_coarse_budget_tiny(self):
-        overrides = dict(image_scale=1 / 16, step=8, coarse_counts=(8,),
-                         taus=(1e-3,), focused=16)
-        via_registry = get_experiment(
-            "ablation_coarse_budget").run(**overrides).rows
-        assert via_registry == core.run_coarse_budget_ablation(**overrides)
-
-    def test_patch_candidates(self):
-        via_registry = get_experiment(
-            "ablation_patch_candidates").run().rows
-        assert via_registry == core.run_patch_candidate_ablation()
-
-    @pytest.mark.slow
-    def test_table2_tiny(self):
-        overrides = dict(train_steps=6, eval_step=16, image_scale=1 / 16,
-                         num_points=10, scenes=("fortress",),
-                         num_source_views=4)
-        via_registry = get_experiment("table2").run(**overrides).rows
-        legacy = core.run_table2(**overrides)
-        assert [(row.method, row.mflops_per_pixel,
-                 sorted(row.per_scene.items())) for row in via_registry] \
-            == [(row.method, row.mflops_per_pixel,
-                 sorted(row.per_scene.items())) for row in legacy]
-        assert len(via_registry) == 7
-
-    @pytest.mark.slow
-    def test_table3_tiny(self):
-        overrides = dict(train_steps=5, finetune_steps=3, eval_step=16,
-                         image_scale=1 / 16, num_points=10,
-                         view_counts=(4,))
-        via_registry = get_experiment("table3").run(**overrides).rows
-        legacy = core.run_table3(**overrides)
-        assert [(row.method, row.mflops_per_pixel,
-                 sorted(row.per_scene.items())) for row in via_registry] \
-            == [(row.method, row.mflops_per_pixel,
-                 sorted(row.per_scene.items())) for row in legacy]
-        assert len(via_registry) == 2
 
 
 class TestRenderAndRegenerate:

@@ -21,8 +21,9 @@ import pytest
 
 from repro import models as M
 from repro.core import frame_pool, log
+from repro.core.knobs import parse_flag
 from repro.models.footprint import (FOOTPRINT_ENV, FOOTPRINT_STATS,
-                                    footprint_enabled, parse_footprint_flag)
+                                    footprint_enabled)
 from repro.perf.reference import trainer_full_encode
 from repro.scenes.datasets import make_scene
 
@@ -170,9 +171,9 @@ class TestFootprintKnob:
 
     def test_true_and_false_words(self):
         for word in ("1", "true", "YES", " On "):
-            assert parse_footprint_flag(word) is True
+            assert parse_flag(word) is True
         for word in ("0", "false", "No", " off "):
-            assert parse_footprint_flag(word) is False
+            assert parse_flag(word) is False
 
     def test_malformed_env_warns_and_falls_back(self, monkeypatch, caplog):
         monkeypatch.setenv(FOOTPRINT_ENV, "banana")

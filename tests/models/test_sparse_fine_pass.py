@@ -19,13 +19,14 @@ import pytest
 
 from repro import nn
 from repro.core import frame_pool, log
+from repro.core.knobs import parse_flag
 from repro.geometry.rays import rays_for_image, stratified_depths
 from repro.models import (GenNeRF, GenNerfConfig, GeneralizableNeRF,
                           ModelConfig, render_image_gen_nerf,
                           render_source_views)
 from repro.models.ibrnet import PACK_STATS
 from repro.models.sampling import coarse_then_focus_plan
-from repro.models.sparse import SPARSE_ENV, parse_sparse_flag, sparse_enabled
+from repro.models.sparse import SPARSE_ENV, sparse_enabled
 from repro.perf.reference import model_forward_padded
 from repro.scenes.datasets import make_scene
 from repro.scenes.render_gt import composite_numpy, field_sigma_color
@@ -226,9 +227,9 @@ class TestSparseKnob:
 
     def test_true_and_false_words(self):
         for word in ("1", "true", "YES", " On "):
-            assert parse_sparse_flag(word) is True
+            assert parse_flag(word) is True
         for word in ("0", "false", "No", " off "):
-            assert parse_sparse_flag(word) is False
+            assert parse_flag(word) is False
 
     def test_malformed_env_warns_and_falls_back(self, monkeypatch, caplog):
         monkeypatch.setenv(SPARSE_ENV, "banana")

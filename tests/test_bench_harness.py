@@ -4,8 +4,8 @@ PR 1 shipped the harness before any baseline existed, so the
 ``previous_mean_s`` / ``regression_pct`` fields were never exercised
 end-to-end.  These tests feed it synthetic prior JSON files and pin:
 the second run populates the comparison fields, a >25% slowdown fails
-loudly (exit code 1), and malformed priors are ignored rather than
-crashing the run.
+loudly (exit code 1) without replacing the baseline it failed against,
+and malformed priors are ignored rather than crashing the run.
 """
 
 import json
@@ -25,6 +25,14 @@ def _fake_bench():
 @pytest.fixture()
 def fake_benches(monkeypatch):
     monkeypatch.setattr(harness, "BENCHES", {"fake_bench": _fake_bench})
+
+
+@pytest.fixture()
+def steady_timer(monkeypatch):
+    """Every bench times at exactly 1 ms, so back-to-back runs compare
+    at 0% and never trip the gate."""
+    monkeypatch.setattr(harness, "_time",
+                        lambda func, rounds=5, min_total_s=0.2: 1e-3)
 
 
 class TestCompareToPrevious:
@@ -101,20 +109,22 @@ class TestRunComparison:
         assert entry["previous_mean_s"] is None
         assert entry["regression_pct"] is None
 
-    def test_second_run_populates_comparison(self, fake_benches, tmp_path):
+    def test_second_run_populates_comparison(self, fake_benches,
+                                             steady_timer, tmp_path):
         result = tmp_path / "bench.json"
         harness.run(strict=True, result_path=str(result), rounds=1,
                     min_total_s=0.0)
-        # strict=False: a microsecond-scale fake bench jitters well past
-        # the 25% threshold run-to-run; this test pins the *comparison
-        # fields*, the strictness tests below pin the exit codes.
-        harness.run(strict=False, result_path=str(result), rounds=1,
-                    min_total_s=0.0)
+        # A steady timer: a regressed run would (rightly) not rewrite
+        # the file; this test pins the *comparison fields*, the
+        # strictness tests below pin the exit codes.
+        assert harness.run(strict=True, result_path=str(result),
+                           rounds=1, min_total_s=0.0) == 0
         entry = json.loads(result.read_text())["benches"]["fake_bench"]
         assert entry["previous_mean_s"] is not None
         assert entry["regression_pct"] is not None
 
-    def test_large_regression_fails_loudly(self, fake_benches, tmp_path):
+    def test_large_regression_fails_loudly(self, fake_benches, tmp_path,
+                                           capsys):
         result = tmp_path / "bench.json"
         synthetic = {"schema_version": 1, "generated_unix": 0.0,
                      "benches": {"fake_bench": {"mean_s": 1e-12}}}
@@ -122,8 +132,27 @@ class TestRunComparison:
         code = harness.run(strict=True, result_path=str(result), rounds=1,
                            min_total_s=0.0)
         assert code == 1                      # >25% slower than the prior
-        entry = json.loads(result.read_text())["benches"]["fake_bench"]
-        assert entry["regression_pct"] > harness.REGRESSION_THRESHOLD_PCT
+        assert "REGRESSION: fake_bench slowed by" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_regressed_run_keeps_the_baseline(self, fake_benches, tmp_path,
+                                              capsys, strict):
+        # A failing run must not become the next baseline: the file
+        # stays byte-identical, and an immediate rerun still reports
+        # the same regression instead of passing against it.
+        result = tmp_path / "bench.json"
+        synthetic = {"schema_version": 1, "generated_unix": 0.0,
+                     "benches": {"fake_bench": {"mean_s": 1e-12}}}
+        result.write_text(json.dumps(synthetic))
+        before = result.read_bytes()
+        for _ in range(2):
+            code = harness.run(strict=strict, result_path=str(result),
+                               rounds=1, min_total_s=0.0)
+            assert code == (1 if strict else 0)
+            assert result.read_bytes() == before
+            err = capsys.readouterr().err
+            assert "REGRESSION: fake_bench slowed by" in err
+            assert "baseline kept" in err
 
     def test_no_strict_reports_without_failing(self, fake_benches, tmp_path):
         result = tmp_path / "bench.json"
@@ -182,7 +211,8 @@ class TestNewBenchNote:
             in capsys.readouterr().out
 
     def test_note_clears_once_a_baseline_exists(self, fake_benches,
-                                                tmp_path, capsys):
+                                                steady_timer, tmp_path,
+                                                capsys):
         result = tmp_path / "bench.json"
         harness.run(strict=True, result_path=str(result), rounds=1,
                     min_total_s=0.0)
