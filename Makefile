@@ -5,7 +5,7 @@ PYTEST := PYTHONPATH=src python -m pytest
 HARNESS := PYTHONPATH=src python -m benchmarks.harness
 REPRO := PYTHONPATH=src python -m repro
 
-.PHONY: test test-all bench bench-e2e bench-train bench-shard bench-serve bench-sparse bench-encode bench-smoke perf docs-check sweep-smoke batch-smoke serve-smoke check
+.PHONY: test test-all bench bench-e2e bench-train bench-serve bench-sparse bench-encode bench-smoke perf docs-check sweep-smoke batch-smoke serve-smoke check
 
 BATCH_SMOKE_OUT := /tmp/repro-batch-smoke
 
@@ -24,9 +24,6 @@ bench-e2e: ## end-to-end benches only (render_rays + scheduler slab sweep)
 bench-train: ## training benches only (fused-Adam/GT-cache fast path vs seed loop)
 	$(HARNESS) --only training_step_e2e_gen_nerf training_step_e2e_ibrnet autograd_training_step_mlp
 
-bench-shard: ## intra-frame sharding benches (sharded vs sequential frame render/sim)
-	$(HARNESS) --only frame_sharded frame_sim_sharded
-
 bench-serve: ## serving bench only (coalesced replay vs sequential serving)
 	$(HARNESS) --only serve_replay
 
@@ -36,7 +33,7 @@ bench-sparse: ## sparse fine-pass benches (packed vs padded at 10/50/90% occupan
 bench-encode: ## footprint-restricted training encode vs full encode (4/16-ray batches)
 	$(HARNESS) --only train_encode_footprint_r4 train_encode_footprint_r16
 
-bench-smoke: ## one quick round of every bench body (incl. sharding), no JSON write
+bench-smoke: ## one quick round of every bench body, no JSON write
 	$(HARNESS) --smoke
 
 perf:      ## pytest-benchmark microbenches (statistical timings)

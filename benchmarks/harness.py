@@ -252,82 +252,6 @@ def bench_render_rays_e2e():
     return fast, looped
 
 
-def bench_frame_sharded():
-    """One full Gen-NeRF frame render, sharded vs sequential.
-
-    Fast path: ``render_image_gen_nerf(workers=None)`` — the chunk loop
-    fanned over the persistent :mod:`repro.core.frame_pool` (autodetect
-    width; on a single-core container this resolves to 1 and the bench
-    honestly reports ~1.0x).  Loop reference: the identical render with
-    ``workers=1`` (the historical in-process chunk loop).  The explicit
-    ``chunk`` forces several chunks so multi-core hosts have work to
-    fan out; both paths produce byte-identical images
-    (``tests/models/test_render_sharded.py``).
-    """
-    from repro import nn
-    from repro.models.gen_nerf import GenNeRF, GenNerfConfig
-    from repro.models.ibrnet import ModelConfig
-    from repro.models.renderer import (render_image_gen_nerf,
-                                       render_source_views)
-    from repro.scenes.datasets import make_scene
-
-    scene = make_scene("llff", seed=3, image_scale=1 / 8)
-    model = GenNeRF(GenNerfConfig(fine=ModelConfig(ray_module="mixer")))
-    model.eval()
-    source_images = render_source_views(scene, num_points=64, step=2)
-    with nn.inference_mode():
-        feature_maps = model.encode_scene(source_images)
-
-    def sharded():
-        return render_image_gen_nerf(model, scene, source_images, step=4,
-                                     chunk=512, feature_maps=feature_maps,
-                                     workers=None)
-
-    def sequential():
-        return render_image_gen_nerf(model, scene, source_images, step=4,
-                                     chunk=512, feature_maps=feature_maps,
-                                     workers=1)
-
-    return sharded, sequential
-
-
-def bench_frame_sim_sharded():
-    """The ``accel_frame_sim`` frame, sharded vs sequential.
-
-    Fast path: ``simulate_frame(workers=None)`` — the plan split at
-    patch boundaries and fanned over the frame pool.  Loop reference:
-    the identical single-pass call (``workers=1``).  Both share one
-    precomputed plan and return bit-identical results at any width
-    (``tests/hardware/test_frame_sim_sharded.py``); on a single-core
-    container the fast path resolves to the sequential one.
-    """
-    from repro.core.pipeline import hardware_rig
-    from repro.hardware import GenNerfAccelerator
-    from repro.models.workload import typical_workload
-    from repro.scenes.datasets import DatasetSpec
-
-    spec = DatasetSpec("bench", width=320, height=240, fov_x_deg=50.0,
-                       near=2.0, far=6.0, rig="orbit", rig_distance=4.0)
-    rig = hardware_rig(spec, num_views=6, seed=0)
-    workload = typical_workload(height=240, width=320, num_views=6)
-    sharded_accel = GenNerfAccelerator()
-    seq_accel = GenNerfAccelerator()
-    plan = sharded_accel.plan_frame(rig.novel, rig.sources, rig.near,
-                                    rig.far, workload)
-
-    def sharded():
-        return sharded_accel.simulate_frame(workload, rig.novel,
-                                            rig.sources, rig.near, rig.far,
-                                            plan=plan, workers=None)
-
-    def sequential():
-        return seq_accel.simulate_frame(workload, rig.novel, rig.sources,
-                                        rig.near, rig.far, plan=plan,
-                                        workers=1)
-
-    return sharded, sequential
-
-
 def bench_scheduler_slab_sweep():
     """Full greedy frame partition of a 256x192 frame with 6 views.
 
@@ -618,8 +542,6 @@ BENCHES = {
     "autograd_training_step_mlp": bench_autograd_training_step,
     "getitem_backward_gather_16k": bench_getitem_backward,
     "render_rays_e2e_r1024": bench_render_rays_e2e,
-    "frame_sharded": bench_frame_sharded,
-    "frame_sim_sharded": bench_frame_sim_sharded,
     "scheduler_slab_sweep": bench_scheduler_slab_sweep,
     "accel_frame_sim": bench_accel_frame_sim,
     "serve_replay": bench_serve_replay,

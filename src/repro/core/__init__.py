@@ -22,8 +22,7 @@ structured event (``REPRO_LOG`` knob); :mod:`repro.core.batch` ingests
 arbitrary job directories with per-job quarantine and resume.
 """
 
-from .figures import (ascii_bar_chart, ascii_line_chart,
-                      stacked_latency_chart)
+from .figures import ascii_line_chart, stacked_latency_chart
 from .log import configure as configure_logging, get_logger
 from .faults import (CorruptResult, FaultPlan, FaultSpec, backoff_delay,
                      detect_retries, detect_task_timeout, injected_faults,
@@ -45,12 +44,11 @@ from .serve import (QUALITIES, RenderRequest, RenderResponse,
                     ServeError, ServiceOverloaded, detect_batch_window,
                     detect_max_batch, detect_queue_limit, replay,
                     run_daemon, synthetic_trace)
-from .reporting import (format_series, format_table, ratio_note,
-                        write_artifact)
+from .reporting import format_table, ratio_note, write_artifact
 
 __all__ = [
     "CoDesignPipeline", "HardwareRig", "hardware_rig", "dataflow_ablation",
-    "format_table", "format_series", "ratio_note", "write_artifact",
+    "format_table", "ratio_note", "write_artifact",
     "run_variants", "in_pool_worker", "map_chunks", "resolve_workers",
     "shutdown_pool", "llff_scene_data",
     "llff_references", "clear_scene_memos", "LLFF_EVAL_SCENES",
@@ -58,7 +56,7 @@ __all__ = [
     "Experiment", "ExperimentResult", "get_experiment",
     "experiment_names", "all_experiments", "run_sweep",
     "Fig9Point", "AblationRow", "FIG9_PAIRS",
-    "ascii_line_chart", "ascii_bar_chart", "stacked_latency_chart",
+    "ascii_line_chart", "stacked_latency_chart",
     "configure_logging", "get_logger",
     "CorruptResult", "FaultPlan", "FaultSpec", "backoff_delay",
     "detect_retries", "detect_task_timeout", "injected_faults",

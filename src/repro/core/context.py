@@ -111,8 +111,8 @@ def llff_scene_data(image_scale: float, num_source_views: int = 10,
     layer even when the env knob is set; leaving it unspecified
     resolves the knob.
 
-    ``workers`` shards the cold source-view renders over the intra-frame
-    pool (``None`` autodetects); sharded renders are byte-identical to
+    ``workers`` shards the cold source-view renders over the frame pool
+    (``None`` autodetects); sharded renders are byte-identical to
     sequential, so the disk-cache keys and contents are unaffected.
     """
     base = (float(image_scale), int(num_source_views), int(seed),

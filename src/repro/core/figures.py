@@ -71,34 +71,6 @@ def ascii_line_chart(series: Dict[str, Tuple[Sequence[float],
     return "\n".join(lines)
 
 
-def ascii_bar_chart(groups: Dict[str, Dict[str, float]], width: int = 40,
-                    title: str = "", value_label: str = "value") -> str:
-    """Render grouped horizontal bars.
-
-    ``groups`` maps group name -> {bar name -> value}; bars are scaled
-    to the global maximum so cross-group comparison is visual.
-    """
-    if not groups:
-        raise ValueError("no groups to plot")
-    peak = max(max(bars.values()) for bars in groups.values())
-    if peak <= 0:
-        peak = 1.0
-    name_width = max(len(name) for bars in groups.values() for name in bars)
-
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    for group, bars in groups.items():
-        lines.append(f"{group}:")
-        for name, value in bars.items():
-            filled = int(round(value / peak * width))
-            lines.append(f"  {name.ljust(name_width)} "
-                         f"|{'#' * filled}{' ' * (width - filled)}| "
-                         f"{value:.4g}")
-    lines.append(f"(bar scale: 0 ... {peak:.4g} {value_label})")
-    return "\n".join(lines)
-
-
 def stacked_latency_chart(rows: Dict[str, Dict[str, float]],
                           width: int = 48, title: str = "") -> str:
     """Render stacked latency bars (the Fig. 2 / Fig. 12 style).

@@ -1,16 +1,20 @@
-"""Fault-tolerant process-pool executor for frame chunks and variant units.
+"""Fault-tolerant process-pool executor for render chunks and variant units.
 
-The paper's evidence is a set of independent runs: the chunks of one
-rendered or simulated frame, and the model variants and sweep points
-of the figure harnesses.  Both fan out through one retry / rebuild /
-timeout / degrade loop, behind two thin public wrappers:
+The paper's evidence is a set of independent runs: the model variants
+and sweep points of the figure harnesses, and the chunks of the
+renders that are large enough to split.  Both fan out through one
+retry / rebuild / timeout / degrade loop, behind two thin public
+wrappers:
 
-* :func:`map_chunks` parallelises *within* one frame.  The renderer's
-  chunk loops (:mod:`repro.models.renderer`) and the accelerator frame
-  simulation (:meth:`repro.hardware.GenNerfAccelerator.simulate_frame`)
-  decompose a frame into independent work units whose boundaries are
-  computed identically to the sequential path, so stitching results in
-  task order reproduces the sequential output **byte for byte**.
+* :func:`map_chunks` parallelises independent chunks of one render.
+  Two callers use it: the source-view renders of
+  :func:`repro.models.render_source_views` (``SceneData.prepare``) and
+  the cross-request dispatches of :mod:`repro.core.serve`.  Chunk
+  boundaries are computed identically to the sequential path, so
+  stitching results in task order reproduces the sequential output
+  **byte for byte**.  Target-view renders and the accelerator frame
+  simulation run in process: splitting one frame did not pay on any
+  measured workload (``docs/performance.md``).
 * :func:`run_variants` parallelises *between* experiment units — the
   ``(function, kwargs)`` tasks of :mod:`repro.core.registry`.  Its
   pool is shut down before it returns, so variant workers never
@@ -24,14 +28,14 @@ Design points (the worker-pool chunked-fetch idiom, adapted to heavy
 per-task state):
 
 * **Per-worker payload, initialised once.**  ``map_chunks(fn, payload,
-  tasks)`` ships ``payload`` (model + encoded feature maps, or the
-  accelerator simulator) to each worker through the pool *initializer*,
-  not with every task — chunks carry only their small descriptors
-  (slice bounds, per-chunk uniforms, a shard of plan arrays).
+  tasks)`` ships ``payload`` (a scene field and its ray bundle, or a
+  model and its encoded feature maps) to each worker through the pool
+  *initializer*, not with every task — chunks carry only their small
+  descriptors (slice bounds, ray arrays, per-chunk uniforms).
 * **Pool persistence.**  The executor survives across calls keyed by
-  (worker count, payload identity): repeated renders of the same
-  scene/model — an eval ladder, a bench loop, the ``serve`` daemon —
-  reuse the warm workers instead of re-spawning and re-shipping state.
+  (worker count, payload identity): repeated dispatches against the
+  same model and scene — the ``serve`` daemon — reuse the warm
+  workers instead of re-spawning and re-shipping state.
   A payload or width change retires the old pool.
 * **Nested-pool guard.**  Every pool worker marks itself via the
   ``REPRO_POOL_WORKER`` env flag; :func:`resolve_workers` — the one
@@ -84,7 +88,7 @@ _UNSET = object()
 
 
 def in_pool_worker() -> bool:
-    """True inside any pool worker — a frame chunk or a variant unit."""
+    """True inside any pool worker — a render chunk or a variant unit."""
     return os.environ.get(POOL_WORKER_ENV, "") == "1"
 
 

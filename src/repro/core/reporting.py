@@ -89,15 +89,6 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[Cell]],
     return "\n".join(parts)
 
 
-def format_series(name: str, xs: Sequence[Cell], ys: Sequence[Cell],
-                  x_label: str = "x", y_label: str = "y",
-                  precision: int = 3) -> str:
-    """Render an (x, y) series — one figure curve — as aligned text."""
-    rows = list(zip(xs, ys))
-    return format_table([x_label, y_label], rows, title=name,
-                        precision=precision)
-
-
 def ratio_note(measured: float, paper: float, label: str = "") -> str:
     """One-line paper-vs-measured comparison used in bench output."""
     if paper == 0:

@@ -1149,12 +1149,14 @@ def run_daemon(config: Optional[ServeConfig] = None, input_stream=None,
     """The long-lived service loop: JSON-lines requests on
     ``input_stream``, JSON-lines responses on ``output_stream``.
 
-    Wall time exists *only* here: each scheduler tick corresponds to
-    one ``tick_s`` select window on stdin (falling back to
-    one-tick-per-line iteration for streams without a selectable file
-    descriptor, e.g. tests feeding a StringIO).  The scheduler itself
-    stays on its virtual clock.  EOF drains the queue and returns the
-    final stats row.
+    Wall time exists *only* here: the scheduler advances one tick per
+    elapsed ``tick_s``, whether or not input keeps arriving, and every
+    complete line read from the descriptor is handled at once — two
+    requests in one write are both submitted without waiting for more
+    input.  Streams without a selectable file descriptor (e.g. tests
+    feeding a StringIO) fall back to one-tick-per-line iteration.  The
+    scheduler itself stays on its virtual clock.  EOF drains the queue
+    and returns the final stats row.
     """
     import sys
 
@@ -1210,21 +1212,31 @@ def run_daemon(config: Optional[ServeConfig] = None, input_stream=None,
             selectable = False
     if selectable:
         import select
+        import time
+
+        # Read the descriptor directly: a buffered ``readline`` would
+        # hold the second of two pipelined lines where ``select`` no
+        # longer sees it.  ``partial`` keeps an unterminated tail.
+        descriptor = input_stream.fileno()
+        partial = b""
         eof = False
+        deadline = time.monotonic() + tick_s
         while not (eof and scheduler.idle):
             if not eof:
-                ready, _, _ = select.select([input_stream], [], [],
-                                            tick_s)
-            else:
-                ready = []
-            if ready:
-                line = input_stream.readline()
-                if line == "":
-                    eof = True
-                else:
-                    handle_line(line)
-                    continue
-            advance()
+                wait = max(0.0, deadline - time.monotonic())
+                ready, _, _ = select.select([descriptor], [], [], wait)
+                if ready:
+                    data = os.read(descriptor, 1 << 16)
+                    if data:
+                        *lines, partial = (partial + data).split(b"\n")
+                    else:
+                        eof = True
+                        lines, partial = [partial], b""
+                    for line in lines:
+                        handle_line(line.decode("utf-8", "replace"))
+            if eof or time.monotonic() >= deadline:
+                advance()
+                deadline = time.monotonic() + tick_s
     else:
         for line in input_stream:
             handle_line(line)

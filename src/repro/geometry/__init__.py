@@ -12,12 +12,11 @@ from .epipolar import (EpipolarPair, epipolar_line, epipole_in_novel,
                        pixels_through_epipole, point_line_distance,
                        relative_pose, skew)
 from .frustum import (Footprint, PatchRegion, convex_hull_area,
-                      depth_of_bin, frustum_corners, patch_memory_footprint,
-                      project_frustum)
+                      depth_of_bin, frustum_corners, project_frustum)
 from .rays import (RayBundle, image_shape_for_step, rays_for_image,
                    rays_for_pixels, stratified_depths)
 from .transforms import (camera_at, forward_facing_cameras, look_at,
-                         normalize, orbit_cameras, rotation_about_axis)
+                         normalize, orbit_cameras)
 
 __all__ = [
     "Camera", "Intrinsics",
@@ -26,9 +25,9 @@ __all__ = [
     "epipolar_line", "point_line_distance", "pixels_through_epipole",
     "group_rays_by_epipolar_lines",
     "PatchRegion", "Footprint", "frustum_corners", "project_frustum",
-    "convex_hull_area", "depth_of_bin", "patch_memory_footprint",
+    "convex_hull_area", "depth_of_bin",
     "RayBundle", "rays_for_pixels", "rays_for_image", "stratified_depths",
     "image_shape_for_step",
     "look_at", "camera_at", "orbit_cameras", "forward_facing_cameras",
-    "normalize", "rotation_about_axis",
+    "normalize",
 ]

@@ -12,7 +12,7 @@ module builds frusta, projects them, and measures footprint areas — the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -152,41 +152,3 @@ def project_frustum(corners_world: np.ndarray, source: Camera,
     bbox = (float(pix[:, 0].min()), float(pix[:, 1].min()),
             float(pix[:, 0].max()), float(pix[:, 1].max()))
     return Footprint(area=area, bbox=bbox, visible=True)
-
-
-def patch_memory_footprint(novel: Camera, sources: Sequence[Camera],
-                           region: PatchRegion, depth_bins: int, near: float,
-                           far: float, feature_scale: float = 1.0,
-                           channels: int = 32,
-                           bytes_per_element: int = 1) -> dict:
-    """Estimate scene-feature bytes needed to process one point patch.
-
-    For each source view the covered feature area (clipped to the feature
-    map) times the channel depth gives the prefetch volume; the paper's
-    greedy partition minimises this per sampled point.
-
-    Returns a dict with per-view areas, total bytes, and bytes/point.
-    """
-    corners = frustum_corners(novel, region, depth_bins, near, far)
-    areas = []
-    total_elems = 0.0
-    feat_w = max(1.0, sources[0].intrinsics.width * feature_scale) if sources else 1.0
-    feat_h = max(1.0, sources[0].intrinsics.height * feature_scale) if sources else 1.0
-    for source in sources:
-        footprint = project_frustum(corners, source, feature_scale)
-        # Clip the covered area to the feature map extent: fetching can
-        # never exceed the stored map.
-        area = min(footprint.area, feat_w * feat_h)
-        # Bilinear interpolation touches a 2-pixel guard band around the
-        # tetragon; model it with a half-pixel dilation of the bbox.
-        guard = (footprint.bbox_width + footprint.bbox_height + 1.0)
-        elems = (area + guard) * channels
-        areas.append(area)
-        total_elems += elems
-    total_bytes = total_elems * bytes_per_element
-    points = max(region.num_points, 1)
-    return {
-        "per_view_area": areas,
-        "total_bytes": total_bytes,
-        "bytes_per_point": total_bytes / points,
-    }

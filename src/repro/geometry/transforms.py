@@ -89,12 +89,3 @@ def forward_facing_cameras(intrinsics: Intrinsics, distance: float,
             eye = eye + jitter_rng.normal(scale=0.02 * distance, size=3)
         cameras.append(camera_at(eye, target, intrinsics))
     return cameras
-
-
-def rotation_about_axis(axis: np.ndarray, angle_rad: float) -> np.ndarray:
-    """Rodrigues rotation matrix about a unit ``axis``."""
-    axis = normalize(axis)
-    x, y, z = axis
-    c, s = np.cos(angle_rad), np.sin(angle_rad)
-    cross = np.array([[0, -z, y], [z, 0, -x], [-y, x, 0]])
-    return c * np.eye(3) + s * cross + (1 - c) * np.outer(axis, axis)

@@ -15,8 +15,7 @@ from .area_power import (ModuleBudget, PAPER_TABLE1, full_chip_budget,
                          rendering_engine_budget, workload_scheduler_budget)
 from .dram import (DramAccessStats, DramBatchStats, DramConfig, DramModel,
                    GDDR6_2080TI, LPDDR4_1600_TX2, LPDDR4_2400)
-from .energy import (EnergyReport, dynamic_energy, frame_energy_from_power,
-                     typical_chip_power_w)
+from .energy import typical_chip_power_w
 from .engine import (EngineConfig, PatchCompute, PatchComputeBatch,
                      RenderingEngine, point_network_gemms, ray_module_gemms)
 from .gpu_model import (GpuModel, GpuSimulation, GpuSpec, JETSON_TX2,
@@ -31,13 +30,13 @@ from .pe_pool import PePool, PePoolConfig, PoolExecution, PoolExecutionBatch
 from .preprocessing import PreprocessingConfig, PreprocessingUnit
 from .scheduler import (DEFAULT_CANDIDATES, FramePlan, GreedyPatchScheduler,
                         Patch, PatchShape, PlanArrays, SchedulerConfig,
-                        fixed_partition, split_plan_arrays)
+                        fixed_partition)
 from .special_function import SfuConfig, SpecialFunctionUnit
 from .sram import PrefetchDoubleBuffer, SramBank, SramConfig
 from .systolic import (GemmShape, SystolicConfig, gemm_cycles,
                        gemm_cycles_batch, gemm_utilization)
 from .units import (ACCELERATOR_FREQ_HZ, DEFAULT_ENERGY, EnergyTable, GB_PER_S,
-                    KB, MB, cycles_to_seconds, seconds_to_cycles)
+                    KB, MB)
 
 __all__ = [
     "AcceleratorConfig", "FrameSimulation", "GenNerfAccelerator",
@@ -47,8 +46,7 @@ __all__ = [
     "rendering_engine_budget", "prefetch_buffer_budget",
     "DramConfig", "DramModel", "DramAccessStats", "DramBatchStats",
     "LPDDR4_2400", "LPDDR4_1600_TX2", "GDDR6_2080TI",
-    "EnergyReport", "dynamic_energy", "typical_chip_power_w",
-    "frame_energy_from_power",
+    "typical_chip_power_w",
     "EngineConfig", "RenderingEngine", "PatchCompute", "PatchComputeBatch",
     "point_network_gemms", "ray_module_gemms",
     "GpuModel", "GpuSimulation", "GpuSpec", "RTX_2080TI", "JETSON_TX2",
@@ -60,12 +58,12 @@ __all__ = [
     "PePool", "PePoolConfig", "PoolExecution", "PoolExecutionBatch",
     "PreprocessingConfig", "PreprocessingUnit",
     "GreedyPatchScheduler", "SchedulerConfig", "PatchShape", "Patch",
-    "FramePlan", "PlanArrays", "fixed_partition", "split_plan_arrays",
+    "FramePlan", "PlanArrays", "fixed_partition",
     "DEFAULT_CANDIDATES",
     "SfuConfig", "SpecialFunctionUnit",
     "PrefetchDoubleBuffer", "SramBank", "SramConfig",
     "GemmShape", "SystolicConfig", "gemm_cycles", "gemm_cycles_batch",
     "gemm_utilization",
     "EnergyTable", "DEFAULT_ENERGY", "ACCELERATOR_FREQ_HZ", "KB", "MB",
-    "GB_PER_S", "cycles_to_seconds", "seconds_to_cycles",
+    "GB_PER_S",
 ]

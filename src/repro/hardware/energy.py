@@ -1,59 +1,18 @@
-"""Energy accounting helpers built on the calibrated component model.
+"""Module power view of the accelerator's energy.
 
-Two views of energy are provided, mirroring how the paper reports it:
-
-* *dynamic event energy* — MACs, SRAM/DRAM bytes and SFU ops priced by
-  :class:`repro.hardware.units.EnergyTable` (what the frame simulator
-  integrates), and
-* *module power view* — Table 1's per-module typical power times busy
-  time, used for the power column of Table 4.
+The paper reports energy two ways: the *dynamic event energy* — MACs,
+SRAM/DRAM bytes and SFU ops priced by
+:class:`repro.hardware.units.EnergyTable`, which the frame simulator
+integrates (:meth:`repro.hardware.GenNerfAccelerator.simulate_frame`) —
+and the *module power view* here: Table 1's per-module typical power,
+used for the power column of Table 4.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict
-
 from .area_power import full_chip_budget
-from .units import DEFAULT_ENERGY, EnergyTable
-
-
-@dataclass
-class EnergyReport:
-    """Energy (J) per component plus totals for one frame."""
-
-    compute_j: float
-    sram_j: float
-    dram_j: float
-    sfu_j: float
-
-    @property
-    def total_j(self) -> float:
-        return self.compute_j + self.sram_j + self.dram_j + self.sfu_j
-
-    def breakdown(self) -> Dict[str, float]:
-        return {"compute": self.compute_j, "sram": self.sram_j,
-                "dram": self.dram_j, "sfu": self.sfu_j}
-
-
-def dynamic_energy(macs: float, sram_bytes: float, dram_bytes: float,
-                   sfu_ops: float,
-                   table: EnergyTable = DEFAULT_ENERGY) -> EnergyReport:
-    """Event-priced dynamic energy for a frame."""
-    return EnergyReport(
-        compute_j=macs * table.mac_int8_pj * 1e-12,
-        sram_j=sram_bytes * 0.5 * (table.sram_read_pj_per_byte
-                                   + table.sram_write_pj_per_byte) * 1e-12,
-        dram_j=dram_bytes * table.dram_pj_per_byte * 1e-12,
-        sfu_j=sfu_ops * table.special_func_pj * 1e-12,
-    )
 
 
 def typical_chip_power_w() -> float:
     """Table-1-calibrated typical power of the whole accelerator (W)."""
     return full_chip_budget()["total"].power_mw / 1000.0
-
-
-def frame_energy_from_power(frame_time_s: float) -> float:
-    """Energy at typical power — the paper's Table 4 power model."""
-    return typical_chip_power_w() * frame_time_s

@@ -1,4 +1,4 @@
-"""Shared hardware constants and unit helpers.
+"""Shared hardware constants.
 
 Frequencies, byte widths, and the energy-per-operation table used by the
 energy model.  Energy constants are calibrated at the paper's 28 nm node
@@ -41,13 +41,3 @@ class EnergyTable:
 
 
 DEFAULT_ENERGY = EnergyTable()
-
-
-def cycles_to_seconds(cycles: float, freq_hz: float = ACCELERATOR_FREQ_HZ
-                      ) -> float:
-    return cycles / freq_hz
-
-
-def seconds_to_cycles(seconds: float, freq_hz: float = ACCELERATOR_FREQ_HZ
-                      ) -> float:
-    return seconds * freq_hz

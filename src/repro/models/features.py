@@ -277,16 +277,3 @@ def _bilinear_numpy_batched(images_shwc: np.ndarray,
     bottom = flat[base + y1 * width + x0] * (1 - fx) \
         + flat[base + y1 * width + x1] * fx
     return top * (1 - fy) + bottom * fy
-
-
-def feature_access_bytes(height: int, width: int, points_per_ray: float,
-                         num_views: int, feature_dim: int,
-                         bytes_per_element: int = 1) -> float:
-    """The paper's headline access count H*W*P*S*D (Sec. 1) in bytes.
-
-    Bilinear interpolation touches 4 corners, but a cache/buffer with any
-    locality coalesces them; the paper counts one D-vector per (point,
-    view), which we follow.
-    """
-    return float(height) * width * points_per_ray * num_views * feature_dim \
-        * bytes_per_element

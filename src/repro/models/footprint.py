@@ -50,12 +50,6 @@ from .ibrnet import _SGEMM_KERNEL_SWITCH_CELLS
 
 FOOTPRINT_ENV = "REPRO_FOOTPRINT"
 
-# Process-wide counters, mirroring ``ibrnet.PACK_STATS``: how many
-# training encodes ran footprint-restricted vs fell back to the dense
-# conv stack (saturated footprint, infeasible kernel regime, knob off).
-FOOTPRINT_STATS = {"footprint": 0, "dense": 0}
-
-
 def footprint_enabled(override: Optional[bool] = None) -> bool:
     """Resolve the footprint-encode switch.
 

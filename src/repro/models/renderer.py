@@ -14,25 +14,24 @@ render the same scene repeatedly can pass precomputed ``feature_maps``
 to skip re-encoding (see :mod:`repro.core.experiments`, which caches
 them per (model, scene) across a harness run).
 
-Intra-frame sharding: every chunk loop below is expressed as a
-module-level *chunk function* over a per-frame payload (model, encoded
-maps, ray bundle), fanned over the persistent worker pool in
-:mod:`repro.core.frame_pool` when ``workers`` resolves above 1.  Chunk
-boundaries are computed identically to the sequential path, each chunk
-is an independent function of its slice (the Gen-NeRF sampler reseeds
-per chunk; the IBRNet hierarchical draws are pre-drawn in chunk order),
-and ``out[start:stop]`` slices stitch in task order — so the rendered
-image is **byte-identical** at any worker count
-(``tests/models/test_render_sharded.py``).  ``workers=1`` (the default)
-keeps the historical in-process loop; ``workers=None`` autodetects
-(``REPRO_WORKERS`` env, then CPU count) with the nested-pool guard.
+Chunk functions: every chunk loop below calls a module-level *chunk
+function* over a per-frame payload (model, encoded maps, ray bundle).
+Each chunk is an independent function of its slice (the Gen-NeRF
+sampler reseeds per chunk; the IBRNet hierarchical draws are drawn in
+chunk order and passed in), so :mod:`repro.core.serve` reuses the same
+bodies for its cross-request dispatches and stays byte-identical to a
+direct render.  Only :func:`render_source_views` — the minutes-scale
+``SceneData.prepare`` path — fans its chunks over the
+:mod:`repro.core.frame_pool` process pool (``workers``); target-view
+renders run in process, because sharding one frame did not pay on any
+measured workload (``docs/performance.md``).
 
 The sparse fine pass (:mod:`repro.models.sparse`) composes with all of
 the above untouched: chunk boundaries are computed *before* any model
 forward, and the packing is a per-chunk decision inside
 ``GeneralizableNeRF.forward`` that scatters back to the dense grid
 before returning — so packed renders keep identical chunk geometry and
-stay byte-identical to the padded reference at any worker width
+stay byte-identical to the padded reference
 (``tests/models/test_sparse_fine_pass.py``).
 """
 
@@ -80,15 +79,16 @@ def adaptive_chunk(num_rays: int, num_views: int, points_per_ray: int,
 
 
 def _chunk_slices(num_rays: int, chunk: int) -> list:
-    """The sequential loop's ``(start, stop)`` pairs, shared verbatim by
-    the sharded fan-out so both paths see identical chunk geometry."""
+    """A frame's chunk ``(start, stop)`` pairs, shared verbatim by the
+    renderers and the serve scheduler so both see identical chunk
+    geometry."""
     return [(start, min(start + chunk, num_rays))
             for start in range(0, num_rays, chunk)]
 
 
 # ----------------------------------------------------------------------
-# Module-level chunk functions (picklable; first arg is the per-worker
-# payload installed once by the frame pool initializer)
+# Module-level chunk functions (picklable; first arg is the per-frame
+# payload, installed once per worker when a frame pool runs them)
 # ----------------------------------------------------------------------
 
 def _source_view_chunk(state, start: int, stop: int) -> np.ndarray:
@@ -104,11 +104,10 @@ def _ibrnet_chunk(state, start: int, stop: int,
                   uniforms: Optional[np.ndarray]) -> np.ndarray:
     """One IBRNet renderer chunk -> (stop - start, 3) pixels.
 
-    ``uniforms`` carries the hierarchical fine-depth draws, pre-drawn
-    by the caller in chunk order from the frame's ``default_rng(0)`` —
-    the draw depends only on the chunk's shape, so pre-drawing yields
-    exactly the values the historical in-loop draw produced while
-    making every chunk independent of its predecessors.
+    ``uniforms`` carries the hierarchical fine-depth draws, drawn by
+    the caller in chunk order from the frame's ``default_rng(0)`` —
+    the draw depends only on the chunk's shape, so passing them in
+    keeps every chunk independent of its predecessors.
     """
     (model, bundle, source_cameras, source_images, feature_maps,
      num_points, coarse_points, hierarchical) = state
@@ -202,8 +201,7 @@ def render_image_ibrnet(model: GeneralizableNeRF, scene: Scene,
                         step: int = 4, chunk: Optional[int] = None,
                         hierarchical: bool = False,
                         coarse_points: Optional[int] = None,
-                        feature_maps=None,
-                        workers: Optional[int] = 1) -> np.ndarray:
+                        feature_maps=None) -> np.ndarray:
     """Baseline rendering: equal sample count on every ray.
 
     The hierarchical coarse pass defaults to ``num_points`` samples so
@@ -213,9 +211,7 @@ def render_image_ibrnet(model: GeneralizableNeRF, scene: Scene,
     Note: with ``hierarchical`` the fine-depth draws consume the rng
     chunk by chunk, so the rendered image depends on the chunking; pass
     an explicit ``chunk`` to reproduce a specific split — the adaptive
-    default favours throughput.  For a *fixed* chunking the image does
-    not depend on ``workers``: the draws are pre-drawn in chunk order
-    and shards stitch in task order, byte-identical to sequential.
+    default favours throughput.
     """
     coarse_points = coarse_points or num_points
     with nn.inference_mode():
@@ -227,30 +223,24 @@ def render_image_ibrnet(model: GeneralizableNeRF, scene: Scene,
     chunk = adaptive_chunk(len(bundle), len(scene.source_cameras),
                            num_points + (coarse_points if hierarchical
                                          else 0), chunk)
-    slices = _chunk_slices(len(bundle), chunk)
-    # The frame's sampler stream: the historical loop drew the
-    # hierarchical uniforms inside each chunk from this one generator;
-    # nothing else consumes it, so drawing the same (rays, points)
-    # blocks here in chunk order reproduces those values bit for bit.
+    # The frame's sampler stream: the hierarchical uniforms are drawn
+    # from this one generator in chunk order (serve draws the same
+    # blocks in the same order).
     rng = np.random.default_rng(0)
-    tasks = [(start, stop,
-              rng.random((stop - start, num_points)) if hierarchical
-              else None)
-             for start, stop in slices]
     state = (model, bundle, tuple(scene.source_cameras), source_images,
              feature_maps, num_points, coarse_points, hierarchical)
-    results = frame_pool.map_chunks(_ibrnet_chunk, state, tasks, workers)
     out = np.zeros((len(bundle), 3), dtype=np.float64)
-    for (start, stop), pixel in zip(slices, results):
-        out[start:stop] = pixel
+    for start, stop in _chunk_slices(len(bundle), chunk):
+        uniforms = rng.random((stop - start, num_points)) \
+            if hierarchical else None
+        out[start:stop] = _ibrnet_chunk(state, start, stop, uniforms)
     return out.reshape(rows, cols, 3)
 
 
 def render_image_gen_nerf(model: GenNeRF, scene: Scene,
                           source_images: np.ndarray, step: int = 4,
                           chunk: Optional[int] = None,
-                          feature_maps=None,
-                          workers: Optional[int] = 1
+                          feature_maps=None
                           ) -> Tuple[np.ndarray, Dict[str, float]]:
     """Gen-NeRF rendering; returns (image, stats with avg focused points).
 
@@ -261,9 +251,7 @@ def render_image_gen_nerf(model: GenNeRF, scene: Scene,
     chunk (tile-local scheduling, mirroring the accelerator) and the
     sampler reseeds per chunk, so the rendered image depends on the
     chunking; pass an explicit ``chunk`` to reproduce a specific
-    tiling — the adaptive default favours throughput.  At a fixed
-    chunking the image is independent of ``workers`` (chunks are pure
-    functions of their slice, stitched in task order).
+    tiling — the adaptive default favours throughput.
     """
     with nn.inference_mode():
         model.eval()
@@ -277,14 +265,12 @@ def render_image_gen_nerf(model: GenNeRF, scene: Scene,
     chunk = adaptive_chunk(len(bundle), len(scene.source_cameras),
                            model.config.coarse_points
                            + model.config.n_max, chunk)
-    slices = _chunk_slices(len(bundle), chunk)
     state = (model, bundle, tuple(scene.source_cameras), coarse_maps,
              fine_maps, source_images)
-    results = frame_pool.map_chunks(_gen_nerf_chunk, state, slices, workers)
     out = np.zeros((len(bundle), 3), dtype=np.float64)
     total_points = 0
-    for (start, stop), (pixel, points) in zip(slices, results):
-        out[start:stop] = pixel
+    for start, stop in _chunk_slices(len(bundle), chunk):
+        out[start:stop], points = _gen_nerf_chunk(state, start, stop)
         total_points += points
     stats = {
         "avg_focused_points": total_points / max(len(bundle), 1),

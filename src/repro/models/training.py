@@ -57,8 +57,7 @@ from ..geometry.rays import RayBundle, rays_for_pixels, stratified_depths
 from ..scenes.datasets import Scene
 from ..scenes.render_gt import render_rays as render_gt_rays
 from .features import fetched_pixel_mask
-from .footprint import (FOOTPRINT_STATS, footprint_enabled,
-                        plan_conv_footprint)
+from .footprint import footprint_enabled, plan_conv_footprint
 from .gen_nerf import GenNeRF
 from .ibrnet import GeneralizableNeRF
 from .renderer import render_source_views
@@ -154,17 +153,6 @@ class SceneData:
         self.feature_cache[id(model)] = (model, versions,
                                          self.source_images, maps)
         return maps
-
-
-def sample_pixel_batch(scene: Scene, count: int,
-                       rng: np.random.Generator) -> RayBundle:
-    """Random pixel rays of the scene's target view."""
-    width = scene.target_camera.intrinsics.width
-    height = scene.target_camera.intrinsics.height
-    us = rng.uniform(0.5, width - 0.5, size=count)
-    vs = rng.uniform(0.5, height - 0.5, size=count)
-    pixels = np.stack([us, vs], axis=-1)
-    return rays_for_pixels(scene.target_camera, pixels, scene.near, scene.far)
 
 
 def draw_pixel_block(scenes: Sequence[SceneData], config: TrainConfig,
@@ -333,11 +321,9 @@ class Trainer:
                                        width, mask)
         if plan is None:
             self.footprint_stats["dense"] += 1
-            FOOTPRINT_STATS["dense"] += 1
             return encoder.encode_views(images)
         self.footprint_stats["footprint"] += 1
         self.footprint_stats["coverage"] += plan.coverage
-        FOOTPRINT_STATS["footprint"] += 1
         return encoder.encode_views_footprint(images, plan)
 
     def _use_footprint(self) -> bool:

@@ -64,13 +64,3 @@ def composite(sigmas: Tensor, colors: Tensor, depths: np.ndarray, far: float,
         residual = 1.0 - weights.sum(axis=-1, keepdims=True)
         pixel = pixel + residual
     return pixel, weights
-
-
-def expected_depth(weights: Tensor, depths: np.ndarray) -> Tensor:
-    """Weight-averaged depth along each ray (a cheap depth map)."""
-    return (weights * Tensor(np.asarray(depths, dtype=np.float32))).sum(axis=-1)
-
-
-def opacity(weights: Tensor) -> Tensor:
-    """Total hitting probability per ray, in [0, 1]."""
-    return weights.sum(axis=-1)

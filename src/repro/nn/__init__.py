@@ -6,13 +6,13 @@ substrate exists.
 """
 
 from . import functional
-from .attention import MultiHeadSelfAttention, TransformerBlock
-from .layers import (MLP, AvgPool2d, Conv2d, ELU, LayerNorm, Linear, Module,
+from .attention import MultiHeadSelfAttention
+from .layers import (MLP, Conv2d, ELU, LayerNorm, Linear, Module,
                      Parameter, ReLU, Sequential, Sigmoid, conv_patch_cache,
                      shared_patch_rows)
 from .optim import (Adam, ConstantLR, ExponentialDecayLR, LRSchedule, SGD,
                     clip_grad_norm)
-from .serialize import load_module, save_module
+from .serialize import save_module
 from .tensor import (Tensor, as_tensor, concatenate, grad_enabled,
                      inference_mode, no_grad, ones, stack, unbroadcast, where,
                      zeros)
@@ -21,10 +21,10 @@ __all__ = [
     "functional",
     "Tensor", "as_tensor", "concatenate", "stack", "where", "zeros", "ones",
     "no_grad", "inference_mode", "grad_enabled", "unbroadcast",
-    "Module", "Parameter", "Linear", "Conv2d", "AvgPool2d", "Sequential",
+    "Module", "Parameter", "Linear", "Conv2d", "Sequential",
     "MLP", "LayerNorm", "ReLU", "ELU", "Sigmoid", "conv_patch_cache",
     "shared_patch_rows",
-    "MultiHeadSelfAttention", "TransformerBlock",
+    "MultiHeadSelfAttention",
     "Adam", "SGD", "ConstantLR", "ExponentialDecayLR", "LRSchedule",
-    "clip_grad_norm", "save_module", "load_module",
+    "clip_grad_norm", "save_module",
 ]

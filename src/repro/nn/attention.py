@@ -71,29 +71,3 @@ class MultiHeadSelfAttention(Module):
         attn = 2 * 2 * rays * self.heads * points * points * self.head_dim
         softmax_ops = 5 * rays * self.heads * points * points
         return proj + attn + softmax_ops
-
-
-class TransformerBlock(Module):
-    """Pre-norm transformer block: attention + feed-forward, residuals."""
-
-    def __init__(self, features: int, heads: int = 4, ff_multiplier: int = 2,
-                 rng: Optional[np.random.Generator] = None):
-        super().__init__()
-        rng = rng or np.random.default_rng(0)
-        self.norm1 = LayerNorm(features)
-        self.attention = MultiHeadSelfAttention(features, heads, rng=rng)
-        self.norm2 = LayerNorm(features)
-        hidden = features * ff_multiplier
-        self.ff1 = Linear(features, hidden, rng=rng)
-        self.ff2 = Linear(hidden, features, rng=rng)
-
-    def forward(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
-        x = as_tensor(x)
-        x = x + self.attention(self.norm1(x), mask=mask)
-        x = x + self.ff2(F.relu(self.ff1(self.norm2(x))))
-        return x
-
-    def flops(self, rays: int, points: int) -> int:
-        tokens = rays * points
-        ff = self.ff1.flops(tokens) + self.ff2.flops(tokens)
-        return self.attention.flops(rays, points) + ff

@@ -107,12 +107,6 @@ def masked_softmax(x: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
     return _node(out_data, (x,), backward)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    x = as_tensor(x)
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
-
-
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Layer normalisation over the last axis."""
     x = as_tensor(x)
@@ -142,16 +136,6 @@ def mse_loss(prediction: Tensor, target) -> Tensor:
                 unbroadcast((g * scale) * diff, prediction.shape))
 
     return _node(out_data, (prediction,), backward)
-
-
-def masked_mse_loss(prediction: Tensor, target, mask: np.ndarray) -> Tensor:
-    """MSE over valid entries only; padded focused samples carry no loss."""
-    prediction = as_tensor(prediction)
-    target = as_tensor(target)
-    mask_arr = np.asarray(mask, dtype=prediction.dtype)
-    diff = (prediction - target.detach()) * Tensor(mask_arr)
-    denom = float(mask_arr.sum()) if mask_arr.sum() > 0 else 1.0
-    return (diff * diff).sum() * (1.0 / denom)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator,
@@ -214,23 +198,6 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
     parents = (x, weight) if bias_t is None else (x, weight, bias_t)
     return _node(out_data, parents, backward)
-
-
-def pad_last_axes(x: Tensor, pad: Sequence[tuple], value: float = 0.0) -> Tensor:
-    """Constant-pad trailing axes; gradient flows to the unpadded region."""
-    x = as_tensor(x)
-    widths = [(0, 0)] * (x.ndim - len(pad)) + list(pad)
-    out_data = np.pad(x.data, widths, constant_values=value)
-    if not x._tracked():
-        return _plain(out_data)
-    slicer = tuple(slice(lo, out_data.shape[i] - hi)
-                   for i, (lo, hi) in enumerate(widths))
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(g[slicer])
-
-    return _node(out_data, (x,), backward)
 
 
 def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:

@@ -430,20 +430,3 @@ class Conv2d(Module):
         macs = (batch * out_h * out_w * self.out_channels
                 * self.in_channels * self.kernel * self.kernel)
         return 2 * macs
-
-
-class AvgPool2d(Module):
-    """Non-overlapping average pooling on (B, C, H, W)."""
-
-    def __init__(self, kernel: int = 2):
-        super().__init__()
-        self.kernel = kernel
-
-    def forward(self, x: Tensor) -> Tensor:
-        x = as_tensor(x)
-        batch, channels, height, width = x.shape
-        k = self.kernel
-        out_h, out_w = height // k, width // k
-        trimmed = x[:, :, :out_h * k, :out_w * k]
-        reshaped = trimmed.reshape(batch, channels, out_h, k, out_w, k)
-        return reshaped.mean(axis=(3, 5))

@@ -1,10 +1,10 @@
-"""Save/load module parameters with ``np.savez`` — the repo's checkpoint
-format for trained models (examples cache small pretrained weights)."""
+"""Save module parameters with ``np.savez`` — the repo's checkpoint
+format for trained models (``np.load`` + ``Module.load_state_dict``
+restores one)."""
 
 from __future__ import annotations
 
 import os
-from typing import Dict
 
 import numpy as np
 
@@ -16,11 +16,3 @@ def save_module(module: Module, path: str) -> None:
     state = module.state_dict()
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     np.savez(path, **state)
-
-
-def load_module(module: Module, path: str) -> Module:
-    """Load parameters saved by :func:`save_module` into ``module``."""
-    with np.load(path) as archive:
-        state: Dict[str, np.ndarray] = {k: archive[k] for k in archive.files}
-    module.load_state_dict(state)
-    return module

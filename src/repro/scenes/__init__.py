@@ -8,20 +8,19 @@ ray-marching reference renderer (see DESIGN.md, substitution table).
 
 from .datasets import DATASETS, DatasetSpec, Scene, llff_eval_scenes, make_scene
 from .fields import (CompositeField, Field, GaussianBlob, GroundPlane,
-                     SolidBox, SphereShell, empty_space_fraction)
+                     SolidBox, SphereShell)
 from .generator import (LLFF_SCENE_TRAITS, deepvoxels_like_field,
                         llff_like_field, nerf_synthetic_like_field,
                         orbit_sparse_like_field, thicket_like_field)
-from .render_gt import (composite_numpy, field_sigma_color, hitting_weights,
-                        render_image, render_rays)
+from .render_gt import (composite_numpy, field_sigma_color, render_image,
+                        render_rays)
 
 __all__ = [
     "Field", "GaussianBlob", "SolidBox", "SphereShell", "GroundPlane",
-    "CompositeField", "empty_space_fraction",
+    "CompositeField",
     "llff_like_field", "nerf_synthetic_like_field", "deepvoxels_like_field",
     "thicket_like_field", "orbit_sparse_like_field",
     "LLFF_SCENE_TRAITS",
     "DATASETS", "DatasetSpec", "Scene", "make_scene", "llff_eval_scenes",
     "composite_numpy", "render_rays", "render_image", "field_sigma_color",
-    "hitting_weights",
 ]

@@ -222,13 +222,3 @@ class CompositeField(Field):
     def bounds(self):
         los, his = zip(*(c.bounds() for c in self.components))
         return np.min(los, axis=0), np.max(his, axis=0)
-
-
-def empty_space_fraction(field: Field, rng: np.random.Generator,
-                         num_samples: int = 4096,
-                         threshold: float = 0.5) -> float:
-    """Monte-Carlo estimate of the fraction of the bounding volume with
-    density below ``threshold`` — the sparsity Gen-NeRF exploits."""
-    lo, hi = field.bounds()
-    pts = rng.uniform(lo, hi, size=(num_samples, 3))
-    return float(np.mean(field.density(pts) < threshold))

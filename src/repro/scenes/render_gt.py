@@ -118,15 +118,3 @@ def render_image(field: Field, camera: Camera, near: float, far: float,
         pixels[start:start + chunk] = render_rays(
             field, part, num_points, white_background=white_background)
     return pixels.reshape(rows, cols, 3)
-
-
-def hitting_weights(field: Field, bundle: RayBundle,
-                    depths: np.ndarray) -> np.ndarray:
-    """Exact hitting probabilities w_k for given sample depths.
-
-    This is the quantity the coarse pass estimates (paper Step 2 of the
-    coarse-then-focus pipeline); tests compare the estimate against it.
-    """
-    sigmas, colors = field_sigma_color(field, bundle, depths)
-    _, weights, _ = composite_numpy(sigmas, colors, depths, bundle.far)
-    return weights

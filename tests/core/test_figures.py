@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.figures import (ascii_bar_chart, ascii_line_chart,
-                                stacked_latency_chart)
+from repro.core.figures import ascii_line_chart, stacked_latency_chart
 
 
 class TestLineChart:
@@ -38,24 +37,6 @@ class TestLineChart:
         lines = [l for l in text.splitlines() if "|" in l]
         top_cols = lines[0].index("o") if "o" in lines[0] else None
         assert top_cols is not None   # max value lands on the top row
-
-
-class TestBarChart:
-    def test_bars_scale(self):
-        text = ascii_bar_chart({"group": {"big": 10.0, "small": 1.0}},
-                               width=20)
-        lines = text.splitlines()
-        big = next(l for l in lines if "big" in l)
-        small = next(l for l in lines if "small" in l)
-        assert big.count("#") > 5 * small.count("#")
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            ascii_bar_chart({})
-
-    def test_zero_values_safe(self):
-        text = ascii_bar_chart({"g": {"zero": 0.0}})
-        assert "zero" in text
 
 
 class TestStackedChart:

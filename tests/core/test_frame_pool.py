@@ -3,10 +3,11 @@
 Both public wrappers — ``map_chunks`` (scope ``frame_pool``) and
 ``run_variants`` (scope ``run_variants``) — run the same loop; drills
 that apply to either are parametrized over the scope.  The
-byte-identity of *real* sharded work (image renders, frame
-simulations) is pinned in ``tests/models/test_render_sharded.py`` and
-``tests/hardware/test_frame_sim_sharded.py``; this suite covers the
-pool machinery itself with cheap picklable functions.
+byte-identity of *real* sharded work is pinned elsewhere: source-view
+renders in ``tests/models/test_render_sharded.py`` and
+``tests/models/test_render_faults.py``, serve dispatches in
+``tests/core/test_serve.py``.  This suite covers the pool machinery
+itself with cheap picklable functions.
 """
 
 import concurrent.futures

@@ -4,8 +4,7 @@ import os
 
 import pytest
 
-from repro.core.reporting import (format_series, format_table, ratio_note,
-                                  write_artifact)
+from repro.core.reporting import format_table, ratio_note, write_artifact
 
 
 class TestFormatTable:
@@ -36,14 +35,6 @@ class TestFormatTable:
     def test_precision_option(self):
         text = format_table(["v"], [[1.23456]], precision=1)
         assert "1.2" in text and "1.23" not in text
-
-
-class TestFormatSeries:
-    def test_series_layout(self):
-        text = format_series("curve", [1, 2], [10.0, 20.0],
-                             x_label="points", y_label="psnr")
-        assert "points" in text and "psnr" in text
-        assert "curve" in text
 
 
 class TestRatioNote:

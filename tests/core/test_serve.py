@@ -334,6 +334,77 @@ class TestValidation:
             serve.build_model("ultra")
 
 
+def _request_lines(*names):
+    """JSON-lines bytes for draft ``fern`` requests with these ids."""
+    import json
+
+    return "".join(
+        json.dumps({"id": name, "scene": "fern", "quality": "draft"})
+        + "\n" for name in names).encode()
+
+
+def _drive_pipe(writes, expected, batch_window=1, tick_s=0.005,
+                close_first=False, keep_writing=None):
+    """Run the daemon on an ``os.pipe`` fed by ``writes`` (one
+    ``os.write`` each) and return its ``{id: status}`` responses.
+
+    The pipe stays open until ``expected`` responses have arrived
+    (within a timeout), so a response that waits for EOF fails the
+    check; ``close_first`` closes it right after the writes instead.
+    ``keep_writing`` is written every millisecond while waiting.
+    """
+    import json
+    import os
+    import threading
+    import time
+
+    class Sink:
+        def __init__(self):
+            self.lines = []
+            self.done = threading.Event()
+
+        def write(self, text):
+            self.lines.extend(text.splitlines())
+            if len(self.lines) >= expected:
+                self.done.set()
+
+        def flush(self):
+            pass
+
+    read_fd, write_fd = os.pipe()
+    sink = Sink()
+    config = ServeConfig(batch_window=batch_window, max_batch=512,
+                         queue_limit=8, scene_capacity=2, workers=1,
+                         source_points=SOURCE_POINTS)
+    with os.fdopen(read_fd) as input_stream:
+        daemon = threading.Thread(
+            target=serve.run_daemon, args=(config,),
+            kwargs=dict(input_stream=input_stream, output_stream=sink,
+                        tick_s=tick_s, stats_interval=0),
+            daemon=True)
+        daemon.start()
+        try:
+            for data in writes:
+                os.write(write_fd, data)
+            if close_first:
+                os.close(write_fd)
+            deadline = time.monotonic() + 60
+            while not sink.done.is_set() and time.monotonic() < deadline:
+                if keep_writing is not None:
+                    os.write(write_fd, keep_writing)
+                sink.done.wait(timeout=0.001)
+            answered = sink.done.is_set()
+            before_eof = list(sink.lines)
+        finally:
+            if not close_first:
+                os.close(write_fd)   # EOF: the daemon drains, returns
+            daemon.join(timeout=60)
+    assert answered, f"responses before EOF: {before_eof}"
+    assert not daemon.is_alive()
+    return {json.loads(line)["id"]: json.loads(line)["status"]
+            for line in sink.lines}
+
+
 class TestDaemon:
     """The stdio wrapper: JSON-lines in, JSON-lines out.  A StringIO
     has no selectable descriptor, so the daemon falls back to
@@ -379,6 +450,53 @@ class TestDaemon:
             == f"{zlib.crc32(reference.tobytes()):08x}"
         saved = np.load(tmp_path / "a.npy")
         assert np.array_equal(saved, reference)
+
+    def test_pipelined_requests_answered_before_eof(self):
+        """Two requests in one write on a pipe that stays open: both
+        responses arrive without waiting for EOF."""
+        statuses = _drive_pipe(
+            [_request_lines("p1", "p2")], expected=2)
+        assert statuses == {"p1": "ok", "p2": "ok"}
+
+    @pytest.mark.parametrize("writes, expected", [
+        pytest.param([_request_lines("p1", "p2", "p3")],
+                     {"p1": "ok", "p2": "ok", "p3": "ok"},
+                     id="three-in-one-write"),
+        # The unterminated tail of one read completes with the next.
+        pytest.param([_request_lines("p1")[:25],
+                      _request_lines("p1")[25:] + _request_lines("p2")],
+                     {"p1": "ok", "p2": "ok"}, id="split-mid-request"),
+        pytest.param([bytes([b]) for b in _request_lines("p1", "p2")],
+                     {"p1": "ok", "p2": "ok"}, id="byte-per-write"),
+        pytest.param([b"\n\n" + _request_lines("p1") + b"\n \n"
+                      + _request_lines("p2")],
+                     {"p1": "ok", "p2": "ok"}, id="blank-lines-between"),
+        pytest.param([_request_lines("p1").replace(b"\n", b"\r\n")
+                      + _request_lines("p2").replace(b"\n", b"\r\n")],
+                     {"p1": "ok", "p2": "ok"}, id="crlf-terminated"),
+        # A bad line is answered with an error (under its sequence
+        # default id) and does not hold up the request behind it.
+        pytest.param([_request_lines("p1") + b"not json\n"
+                      + _request_lines("p2")],
+                     {"p1": "ok", "req-000002": "error", "p2": "ok"},
+                     id="bad-line-between"),
+    ])
+    def test_pipelined_writes_answered_before_eof(self, writes, expected):
+        assert _drive_pipe(writes, expected=len(expected)) == expected
+
+    def test_unterminated_last_line_answered_at_eof(self):
+        statuses = _drive_pipe([_request_lines("p1", "p2")[:-1]],
+                               expected=2, close_first=True)
+        assert statuses == {"p1": "ok", "p2": "ok"}
+
+    def test_ticks_advance_while_input_keeps_arriving(self):
+        """A request that waits out a 5-tick batch window is answered
+        while blank lines keep arriving far faster than ``tick_s``: the
+        clock advances on elapsed time, not on quiet input."""
+        statuses = _drive_pipe([_request_lines("p1")], expected=1,
+                               batch_window=5, tick_s=0.05,
+                               keep_writing=b"\n")
+        assert statuses == {"p1": "ok"}
 
     def test_request_json_validation(self):
         with pytest.raises(ServeError, match="unknown request field"):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.geometry import (Intrinsics, PatchRegion, camera_at,
                             convex_hull_area, depth_of_bin, frustum_corners,
-                            patch_memory_footprint, project_frustum)
+                            project_frustum)
 
 
 @pytest.fixture()
@@ -84,32 +84,3 @@ class TestFrustum:
         full = project_frustum(corners, source, feature_scale=1.0)
         half = project_frustum(corners, source, feature_scale=0.5)
         assert np.isclose(half.area, full.area * 0.25, rtol=0.05)
-
-
-class TestMemoryFootprint:
-    def test_monotone_in_patch_size(self, cameras):
-        novel, source = cameras
-        small = PatchRegion(10, 14, 10, 14, 4, 8)
-        large = PatchRegion(0, 32, 0, 32, 0, 32)
-        fp_small = patch_memory_footprint(novel, [source], small, 64, 2, 6)
-        fp_large = patch_memory_footprint(novel, [source], large, 64, 2, 6)
-        assert fp_small["total_bytes"] < fp_large["total_bytes"]
-
-    def test_scales_with_views_and_channels(self, cameras):
-        novel, source = cameras
-        region = PatchRegion(8, 24, 8, 24, 8, 24)
-        one = patch_memory_footprint(novel, [source], region, 64, 2, 6,
-                                     channels=16)
-        two = patch_memory_footprint(novel, [source, source], region, 64,
-                                     2, 6, channels=16)
-        assert np.isclose(two["total_bytes"], 2 * one["total_bytes"])
-        wide = patch_memory_footprint(novel, [source], region, 64, 2, 6,
-                                      channels=32)
-        assert np.isclose(wide["total_bytes"], 2 * one["total_bytes"])
-
-    def test_bytes_per_point(self, cameras):
-        novel, source = cameras
-        region = PatchRegion(0, 16, 0, 16, 0, 16)
-        result = patch_memory_footprint(novel, [source], region, 64, 2, 6)
-        expected = result["total_bytes"] / region.num_points
-        assert np.isclose(result["bytes_per_point"], expected)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.geometry import (Intrinsics, camera_at, forward_facing_cameras,
-                            look_at, normalize, orbit_cameras,
-                            rotation_about_axis)
+                            look_at, normalize, orbit_cameras)
 
 
 class TestLookAt:
@@ -61,15 +60,3 @@ class TestRigs:
         b = forward_facing_cameras(intr, 4.0, 4,
                                    jitter_rng=np.random.default_rng(1))
         assert np.allclose(a[2].center, b[2].center)
-
-
-class TestRotation:
-    def test_rotation_about_axis_basics(self):
-        rot = rotation_about_axis(np.array([0, 1.0, 0]), np.pi / 2)
-        assert np.allclose(rot @ np.array([1.0, 0, 0]), [0, 0, -1],
-                           atol=1e-12)
-        assert np.isclose(np.linalg.det(rot), 1.0)
-
-    def test_full_turn_is_identity(self):
-        rot = rotation_about_axis(np.array([1.0, 2.0, 3.0]), 2 * np.pi)
-        assert np.allclose(rot, np.eye(3), atol=1e-12)

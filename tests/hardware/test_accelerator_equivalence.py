@@ -9,7 +9,8 @@ regenerated from it are committed and diffed byte-for-byte.
 Layers are pinned bottom-up: batched rectangle bank loads per layout,
 batched DRAM service, batched engine compute, then whole-frame
 simulations across patch counts (including a single patch and an
-800x800-scale plan) and all Fig. 12 ablation variants.
+800x800-scale plan), all Fig. 12 ablation variants, and every dataset
+preset's camera rig (forward-facing and orbit) at reduced resolution.
 """
 
 from dataclasses import replace
@@ -260,6 +261,53 @@ class TestFrameEquivalence:
                                    rig.far, plan=plan)
         assert_simulations_identical(first, loop)
         assert_simulations_identical(warm, loop)
+
+
+class TestDatasetRigEquivalence:
+    """One bank-load -> DRAM service -> engine compute pass per frame
+    must match the seed loop on every preset's rig geometry, not just
+    the small orbit rig above: forward-facing rigs (LLFF, Thicket)
+    give the scheduler very different footprints."""
+
+    @pytest.fixture(scope="class")
+    def rigs(self):
+        out = {}
+        for name, spec in DATASETS.items():
+            small = replace(spec, width=spec.width // 8,
+                            height=spec.height // 8)
+            out[name] = hardware_rig(small, num_views=6, seed=0)
+        return out
+
+    @staticmethod
+    def _check(rig, config, workload):
+        fast = GenNerfAccelerator(config).simulate_frame(
+            workload, rig.novel, rig.sources, rig.near, rig.far)
+        loop = simulate_frame_loop(GenNerfAccelerator(config), workload,
+                                   rig.novel, rig.sources, rig.near,
+                                   rig.far)
+        assert fast.num_patches > 1
+        assert_simulations_identical(fast, loop)
+
+    @pytest.mark.parametrize("variant", ["ours", "var1", "var2", "var3"])
+    @pytest.mark.parametrize("dataset", list(DATASETS))
+    def test_variants_bit_identical(self, rigs, dataset, variant):
+        rig = rigs[dataset]
+        spec = DATASETS[dataset]
+        workload = typical_workload(height=spec.height // 8,
+                                    width=spec.width // 8, num_views=6)
+        self._check(rig, variant_config(variant), workload)
+
+    @pytest.mark.parametrize("ray_module", ["transformer", "none"])
+    @pytest.mark.parametrize("dataset", list(DATASETS))
+    def test_other_ray_modules_bit_identical(self, rigs, dataset,
+                                             ray_module):
+        rig = rigs[dataset]
+        spec = DATASETS[dataset]
+        workload = replace(typical_workload(height=spec.height // 8,
+                                            width=spec.width // 8,
+                                            num_views=6),
+                           ray_module=ray_module)
+        self._check(rig, variant_config("ours"), workload)
 
 
 @pytest.mark.slow

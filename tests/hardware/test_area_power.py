@@ -7,8 +7,7 @@ from repro.hardware.area_power import (PAPER_TABLE1, full_chip_budget,
                                        preprocessing_unit_budget,
                                        rendering_engine_budget,
                                        workload_scheduler_budget)
-from repro.hardware.energy import (dynamic_energy, frame_energy_from_power,
-                                   typical_chip_power_w)
+from repro.hardware.energy import typical_chip_power_w
 
 
 class TestTable1Calibration:
@@ -42,17 +41,3 @@ class TestEnergy:
         """Table 4: 9.7 W typical."""
         power = typical_chip_power_w()
         assert 8.5 < power < 10.5
-
-    def test_dynamic_energy_components(self):
-        report = dynamic_energy(macs=1e9, sram_bytes=1e6, dram_bytes=1e6,
-                                sfu_ops=1e6)
-        assert report.total_j > 0
-        breakdown = report.breakdown()
-        assert set(breakdown) == {"compute", "sram", "dram", "sfu"}
-        assert abs(sum(breakdown.values()) - report.total_j) < 1e-12
-        # DRAM bytes cost far more than SRAM bytes.
-        assert report.dram_j > 10 * report.sram_j
-
-    def test_frame_energy_from_power(self):
-        assert frame_energy_from_power(0.040) \
-            == pytest.approx(typical_chip_power_w() * 0.040)

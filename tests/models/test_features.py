@@ -5,7 +5,7 @@ import pytest
 
 from repro.nn import Tensor
 from repro.models.features import (bilinear_gather, direction_features,
-                                   feature_access_bytes, fetch_features)
+                                   fetch_features)
 from repro.models.encoder import ConvEncoder
 from repro.geometry import Intrinsics, camera_at
 
@@ -111,11 +111,3 @@ class TestFetchFeatures:
         fetched = fetch_features(points, dirs, cameras, maps, images, 0.5)
         fetched.features.sum().backward()
         assert maps[0].grad is not None or maps[0]._parents  # graph built
-
-
-def test_feature_access_bytes_headline_formula():
-    """H*W*P*S*D, the paper's Sec. 1 access count."""
-    assert feature_access_bytes(100, 200, 64, 6, 32) \
-        == 100 * 200 * 64 * 6 * 32
-    assert feature_access_bytes(10, 10, 8, 2, 4, bytes_per_element=2) \
-        == 10 * 10 * 8 * 2 * 4 * 2

@@ -22,8 +22,7 @@ import pytest
 from repro import models as M
 from repro.core import frame_pool, log
 from repro.core.knobs import parse_flag
-from repro.models.footprint import (FOOTPRINT_ENV, FOOTPRINT_STATS,
-                                    footprint_enabled)
+from repro.models.footprint import FOOTPRINT_ENV, footprint_enabled
 from repro.perf.reference import trainer_full_encode
 from repro.scenes.datasets import make_scene
 
@@ -154,11 +153,9 @@ class TestFootprintKnob:
         monkeypatch.setenv(FOOTPRINT_ENV, "0")
         cfg = _config(rays=4, steps=2)
         trainer = M.Trainer(_ibrnet(), family_data["llff"], cfg)
-        before = dict(FOOTPRINT_STATS)
         trainer.fit(cfg.steps)
-        assert trainer.footprint_stats["footprint"] == 0
-        assert trainer.footprint_stats["dense"] == 0
-        assert FOOTPRINT_STATS == before
+        assert trainer.footprint_stats == {"footprint": 0, "dense": 0,
+                                           "coverage": 0.0}
 
     def test_priority_argument_env_default(self, monkeypatch):
         monkeypatch.delenv(FOOTPRINT_ENV, raising=False)

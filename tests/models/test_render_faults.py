@@ -1,26 +1,41 @@
 """Fault-injected renders stay byte-identical to the sequential path.
 
-The ISSUE-level guarantee: a worker crash, hang, or corrupt return
-mid-frame re-executes only the affected chunk, and the stitched image
-is byte-identical to the fault-free sequential render at every worker
+The guarantee: a worker crash, hang, or corrupt return mid-render
+re-executes only the affected chunk, and the stitched image is
+byte-identical to the fault-free sequential render at every worker
 count.  Faults inject **only inside pool workers**, so the 1-worker
-row doubles as the no-fault control.
+rows are the no-fault control; the drills run on
+:func:`render_source_views`, the renderer that fans its chunks over
+the frame pool.
 """
 
-import numpy as np
 import pytest
 
 from repro.core import frame_pool
 from repro.core.faults import FaultPlan, FaultSpec, injected_faults
-from repro.models import (GenNeRF, GenNerfConfig, ModelConfig,
-                          render_image_gen_nerf, render_source_views)
+from repro.models import render_source_views
 from repro.scenes.datasets import make_scene
 
 WORKER_COUNTS = (1, 2, 4)
 
-TINY_MODEL = dict(feature_dim=8, view_hidden=8, score_hidden=4,
-                  density_hidden=12, density_feature_dim=6,
-                  ray_module="mixer", n_max=12, encoder_hidden=6)
+# (fault plan, worker count, REPRO_TASK_TIMEOUT or None)
+FAULT_DRILLS = [
+    *[pytest.param(FaultPlan(tasks={0: FaultSpec("crash")},
+                             scope="frame_pool"), workers, None,
+                   id=f"crash-w{workers}") for workers in WORKER_COUNTS],
+    *[pytest.param(FaultPlan(tasks={1: FaultSpec("hang", hang_s=5.0)},
+                             scope="frame_pool"), workers, "0.5",
+                   id=f"hang-w{workers}") for workers in WORKER_COUNTS],
+    *[pytest.param(FaultPlan(tasks={0: FaultSpec("corrupt")},
+                             scope="frame_pool"), workers, None,
+                   id=f"corrupt-w{workers}") for workers in WORKER_COUNTS],
+    # Every pooled attempt crashes chunk 0: the render finishes on the
+    # in-process backstop, still byte-identical.
+    *[pytest.param(FaultPlan(tasks={0: FaultSpec(
+        "crash", attempts=tuple(range(8)))}, scope="frame_pool"),
+        workers, None, id=f"persistent-crash-w{workers}")
+      for workers in (2, 4)],
+]
 
 
 @pytest.fixture(scope="module")
@@ -29,15 +44,8 @@ def scene():
 
 
 @pytest.fixture(scope="module")
-def source_images(scene):
-    return render_source_views(scene, num_points=32)
-
-
-@pytest.fixture(scope="module")
-def gen_nerf(scene):
-    return GenNeRF(GenNerfConfig(fine=ModelConfig(**TINY_MODEL),
-                                 coarse_points=6, focused_points=8),
-                   rng=np.random.default_rng(0))
+def sequential(scene):
+    return render_source_views(scene, num_points=32, workers=1)
 
 
 @pytest.fixture(autouse=True)
@@ -47,63 +55,14 @@ def retire_pool():
     frame_pool.shutdown_pool()
 
 
-def _render(gen_nerf, scene, source_images, workers):
-    image, _ = render_image_gen_nerf(gen_nerf, scene, source_images,
-                                     step=4, chunk=64, workers=workers)
-    return image
-
-
-class TestRenderUnderInjectedFaults:
-    @pytest.fixture(scope="class")
-    def sequential(self, gen_nerf, scene, source_images):
-        return _render(gen_nerf, scene, source_images, workers=1)
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_worker_crash_mid_frame(self, gen_nerf, scene, source_images,
-                                    sequential, workers):
-        plan = FaultPlan(tasks={0: FaultSpec("crash")}, scope="frame_pool")
-        with injected_faults(plan):
-            image = _render(gen_nerf, scene, source_images, workers)
-        assert image.tobytes() == sequential.tobytes()
-        assert image.dtype == sequential.dtype
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_hung_worker_times_out_mid_frame(self, gen_nerf, scene,
-                                             source_images, sequential,
-                                             workers, monkeypatch):
-        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "0.5")
-        plan = FaultPlan(tasks={1: FaultSpec("hang", hang_s=5.0)},
-                         scope="frame_pool")
-        with injected_faults(plan):
-            image = _render(gen_nerf, scene, source_images, workers)
-        assert image.tobytes() == sequential.tobytes()
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_corrupt_chunk_result_mid_frame(self, gen_nerf, scene,
-                                            source_images, sequential,
-                                            workers):
-        plan = FaultPlan(tasks={0: FaultSpec("corrupt")},
-                         scope="frame_pool")
-        with injected_faults(plan):
-            image = _render(gen_nerf, scene, source_images, workers)
-        assert image.tobytes() == sequential.tobytes()
-
-    def test_persistent_crash_degrades_but_stays_identical(
-            self, gen_nerf, scene, source_images, sequential):
-        # Every pooled attempt crashes chunk 0: the frame finishes on
-        # the in-process backstop, still byte-identical.
-        plan = FaultPlan(tasks={0: FaultSpec("crash",
-                                             attempts=tuple(range(8)))},
-                         scope="frame_pool")
-        with injected_faults(plan):
-            image = _render(gen_nerf, scene, source_images, workers=2)
-        assert image.tobytes() == sequential.tobytes()
-
-
 class TestSourceViewsUnderInjectedFaults:
-    def test_crash_during_source_view_render(self, scene):
-        sequential = render_source_views(scene, num_points=32, workers=1)
-        plan = FaultPlan(tasks={0: FaultSpec("crash")}, scope="frame_pool")
+    @pytest.mark.parametrize("plan, workers, timeout", FAULT_DRILLS)
+    def test_crash_during_source_view_render(self, scene, sequential, plan,
+                                             workers, timeout, monkeypatch):
+        if timeout is not None:
+            monkeypatch.setenv("REPRO_TASK_TIMEOUT", timeout)
         with injected_faults(plan):
-            sharded = render_source_views(scene, num_points=32, workers=2)
+            sharded = render_source_views(scene, num_points=32,
+                                          workers=workers)
         assert sharded.tobytes() == sequential.tobytes()
+        assert sharded.dtype == sequential.dtype

@@ -1,53 +1,28 @@
-"""Sharded-vs-sequential byte-identity for full image renders.
+"""Sharded-vs-sequential byte-identity for source-view renders.
 
-The intra-frame fan-out (``workers=``) computes the same chunk
-boundaries as the sequential loop, runs each chunk as an independent
-function of its slice, and stitches ``out[start:stop]`` slices in task
-order — so the rendered image must be **byte-identical** at any worker
-count.  This suite pins that for both models (explicit and adaptive
-chunking, hierarchical IBRNet included), the source-view renderer, and
-the pool-failure fallback.
+:func:`render_source_views` (the ``SceneData.prepare`` hot path) fans
+its ray chunks over the frame pool (``workers=``).  It computes the
+same chunk boundaries as the sequential loop, runs each chunk as an
+independent function of its slice, and stitches ``out[start:stop]``
+slices in task order — so the rendered images must be
+**byte-identical** at any worker count.  This suite pins that, and the
+pool-failure fallback.
 """
 
 import logging
 
-import numpy as np
 import pytest
 
 from repro.core import frame_pool, log
-from repro.models import (GenNeRF, GenNerfConfig, GeneralizableNeRF,
-                          ModelConfig, SceneData, render_image_gen_nerf,
-                          render_image_ibrnet, render_source_views)
+from repro.models import SceneData, render_source_views
 from repro.scenes.datasets import make_scene
 
 WORKER_COUNTS = (2, 4)
-
-TINY_MODEL = dict(feature_dim=8, view_hidden=8, score_hidden=4,
-                  density_hidden=12, density_feature_dim=6,
-                  ray_module="mixer", n_max=12, encoder_hidden=6)
 
 
 @pytest.fixture(scope="module")
 def scene():
     return make_scene("llff", seed=3, image_scale=1 / 16)
-
-
-@pytest.fixture(scope="module")
-def source_images(scene):
-    return render_source_views(scene, num_points=32)
-
-
-@pytest.fixture(scope="module")
-def ibrnet(scene):
-    return GeneralizableNeRF(ModelConfig(**TINY_MODEL),
-                             rng=np.random.default_rng(0))
-
-
-@pytest.fixture(scope="module")
-def gen_nerf(scene):
-    return GenNeRF(GenNerfConfig(fine=ModelConfig(**TINY_MODEL),
-                                 coarse_points=6, focused_points=8),
-                   rng=np.random.default_rng(0))
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -73,80 +48,17 @@ class TestSourceViewsSharded:
             sequential.source_images.tobytes()
 
 
-class TestIbrnetSharded:
-    def test_explicit_chunk_byte_identical(self, scene, source_images,
-                                           ibrnet):
-        sequential = render_image_ibrnet(ibrnet, scene, source_images,
-                                         num_points=12, step=4, chunk=64,
-                                         workers=1)
-        for workers in WORKER_COUNTS:
-            sharded = render_image_ibrnet(ibrnet, scene, source_images,
-                                          num_points=12, step=4, chunk=64,
-                                          workers=workers)
-            assert sharded.tobytes() == sequential.tobytes()
-
-    def test_adaptive_chunk_byte_identical(self, scene, source_images,
-                                           ibrnet):
-        sequential = render_image_ibrnet(ibrnet, scene, source_images,
-                                         num_points=12, step=4, workers=1)
-        sharded = render_image_ibrnet(ibrnet, scene, source_images,
-                                      num_points=12, step=4, workers=2)
-        assert sharded.tobytes() == sequential.tobytes()
-
-    def test_hierarchical_byte_identical(self, scene, source_images,
-                                         ibrnet):
-        # Hierarchical sampling consumes the frame rng chunk by chunk;
-        # the sharded path pre-draws those uniforms in chunk order, so
-        # at a fixed chunking the image must not depend on workers.
-        sequential = render_image_ibrnet(ibrnet, scene, source_images,
-                                         num_points=12, step=4, chunk=64,
-                                         hierarchical=True, workers=1)
-        for workers in WORKER_COUNTS:
-            sharded = render_image_ibrnet(ibrnet, scene, source_images,
-                                          num_points=12, step=4, chunk=64,
-                                          hierarchical=True,
-                                          workers=workers)
-            assert sharded.tobytes() == sequential.tobytes()
-
-
-class TestGenNerfSharded:
-    def test_explicit_chunk_byte_identical_with_stats(self, scene,
-                                                      source_images,
-                                                      gen_nerf):
-        sequential, seq_stats = render_image_gen_nerf(
-            gen_nerf, scene, source_images, step=4, chunk=64, workers=1)
-        for workers in WORKER_COUNTS:
-            sharded, stats = render_image_gen_nerf(
-                gen_nerf, scene, source_images, step=4, chunk=64,
-                workers=workers)
-            assert sharded.tobytes() == sequential.tobytes()
-            assert stats == seq_stats
-
-    def test_adaptive_chunk_byte_identical(self, scene, source_images,
-                                           gen_nerf):
-        sequential, _ = render_image_gen_nerf(gen_nerf, scene,
-                                              source_images, step=4,
-                                              workers=1)
-        sharded, _ = render_image_gen_nerf(gen_nerf, scene, source_images,
-                                           step=4, workers=2)
-        assert sharded.tobytes() == sequential.tobytes()
-
-
 class TestPoolFailureFallback:
     def test_render_survives_pool_failure_byte_identically(
-            self, scene, source_images, gen_nerf, monkeypatch, caplog):
-        sequential, _ = render_image_gen_nerf(gen_nerf, scene,
-                                              source_images, step=4,
-                                              chunk=64, workers=1)
+            self, scene, monkeypatch, caplog):
+        sequential = render_source_views(scene, num_points=32, workers=1)
 
         def broken_pool(payload, workers):
             raise OSError("process spawning disabled")
 
         monkeypatch.setattr(frame_pool, "get_pool", broken_pool)
         with caplog.at_level(logging.WARNING, logger="repro"):
-            sharded, _ = render_image_gen_nerf(gen_nerf, scene,
-                                               source_images, step=4,
-                                               chunk=64, workers=2)
+            sharded = render_source_views(scene, num_points=32, workers=2)
         assert sharded.tobytes() == sequential.tobytes()
         degraded = log.events_named(caplog.records,
                                     "frame_pool.degraded_sequential")

@@ -8,8 +8,8 @@ module.  Its contract is *byte-identity* with the pinned padded path
 artefact regenerates unchanged whether the knob is on or off.  This
 suite pins that for both model classes (IBRNet with mixer and
 transformer ray modules, Gen-NeRF end-to-end), every scene family
-including the occupancy-stress ones, explicit and adaptive chunking,
-and 1/2/4 workers — plus the ``REPRO_SPARSE`` knob semantics.
+including the occupancy-stress ones, and explicit and adaptive
+chunking — plus the ``REPRO_SPARSE`` knob semantics.
 """
 
 import logging
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import frame_pool, log
+from repro.core import log
 from repro.core.knobs import parse_flag
 from repro.geometry.rays import rays_for_image, stratified_depths
 from repro.models import (GenNeRF, GenNerfConfig, GeneralizableNeRF,
@@ -59,12 +59,6 @@ def _forward_setup(family):
 @pytest.fixture(scope="module")
 def family_setups():
     return {family: _forward_setup(family) for family in FAMILIES}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def retire_pool():
-    yield
-    frame_pool.shutdown_pool()
 
 
 def _assert_outputs_identical(packed, padded):
@@ -115,11 +109,10 @@ class TestForwardByteIdentity:
 
 
 class TestGenNerfEndToEnd:
-    """Full ``render_image_gen_nerf`` equivalence at every width.
+    """Full ``render_image_gen_nerf`` equivalence.
 
-    The padded reference always renders in-process (``workers=1``) with
-    the knob forced off; packed renders fan over the worker pool, whose
-    subprocesses resolve the knob to its default (on)."""
+    The padded reference renders with the knob forced off; packed
+    renders resolve the knob to its default (on)."""
 
     @pytest.fixture(scope="class")
     def rendered(self, family_setups, class_monkeypatch):
@@ -134,43 +127,32 @@ class TestGenNerfEndToEnd:
             class_monkeypatch.setenv(SPARSE_ENV, "0")
             padded = render_image_gen_nerf(model, scene, source_images,
                                            step=4, chunk=64,
-                                           feature_maps=feature_maps,
-                                           workers=1)
+                                           feature_maps=feature_maps)
             class_monkeypatch.delenv(SPARSE_ENV)
             results[family] = (scene, source_images, model, feature_maps,
                                padded)
         return results
 
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_workers1_explicit_chunk(self, rendered, family):
+    def test_explicit_chunk(self, rendered, family):
         scene, source_images, model, feature_maps, padded = rendered[family]
         packed = render_image_gen_nerf(model, scene, source_images, step=4,
-                                       chunk=64, feature_maps=feature_maps,
-                                       workers=1)
+                                       chunk=64, feature_maps=feature_maps)
         assert packed[0].tobytes() == padded[0].tobytes()
         assert packed[1] == padded[1]
 
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_workers2_adaptive_chunk(self, rendered, family):
+    def test_adaptive_chunk(self, rendered, family, monkeypatch):
         scene, source_images, model, feature_maps, _ = rendered[family]
+        monkeypatch.setenv(SPARSE_ENV, "0")
         adaptive_padded = render_image_gen_nerf(
             model, scene, source_images, step=4, chunk=None,
-            feature_maps=feature_maps, workers=1)
+            feature_maps=feature_maps)
+        monkeypatch.delenv(SPARSE_ENV)
         packed = render_image_gen_nerf(model, scene, source_images, step=4,
                                        chunk=None,
-                                       feature_maps=feature_maps,
-                                       workers=2)
+                                       feature_maps=feature_maps)
         assert packed[0].tobytes() == adaptive_padded[0].tobytes()
-
-    @pytest.mark.parametrize("family", ["llff", "orbit_sparse"])
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_worker_width_matrix(self, rendered, family, workers):
-        scene, source_images, model, feature_maps, padded = rendered[family]
-        packed = render_image_gen_nerf(model, scene, source_images, step=4,
-                                       chunk=64, feature_maps=feature_maps,
-                                       workers=workers)
-        assert packed[0].tobytes() == padded[0].tobytes()
-        assert packed[1] == padded[1]
 
     def test_render_rays_sparse_argument(self, family_setups):
         """``render_rays(..., sparse=...)`` forwards the override."""

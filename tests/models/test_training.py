@@ -46,14 +46,6 @@ class TestTrainer:
         trainer.fit(2)
         assert len(trainer.history) == 4
 
-    def test_sample_pixel_batch_in_bounds(self, llff_scene, rng):
-        bundle = M.sample_pixel_batch(llff_scene, 64, rng)
-        assert len(bundle) == 64
-        width = llff_scene.target_camera.intrinsics.width
-        height = llff_scene.target_camera.intrinsics.height
-        assert (bundle.pixels[:, 0] <= width).all()
-        assert (bundle.pixels[:, 1] <= height).all()
-
     def test_finetune_runs(self, tiny_ibrnet, llff_scene):
         losses = M.finetune(tiny_ibrnet, llff_scene, steps=4,
                             config=M.TrainConfig(steps=4, rays_per_batch=8,

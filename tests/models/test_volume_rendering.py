@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Tensor
-from repro.models.volume_rendering import composite, expected_depth, opacity
+from repro.models.volume_rendering import composite
 from repro.scenes import composite_numpy
 
 
@@ -40,6 +40,22 @@ class TestParity:
         pixel_n, _, _ = composite_numpy(sigmas, colors, depths, 6.0,
                                         max_delta=0.2)
         assert np.allclose(pixel_t.data, pixel_n, atol=1e-4)
+
+
+class TestWeights:
+    def test_weights_are_subprobability(self, ray_batch):
+        sigmas, colors, depths = ray_batch
+        _, weights = composite(Tensor(sigmas), Tensor(colors), depths, 6.0)
+        assert (weights.data >= 0).all()
+        assert (weights.data.sum(-1) <= 1 + 1e-6).all()
+
+    def test_weighted_depth_within_sampled_range(self, ray_batch):
+        sigmas, colors, depths = ray_batch
+        _, weights = composite(Tensor(sigmas), Tensor(colors), depths, 6.0)
+        w = weights.data.astype(np.float64)
+        mean_depth = (w * depths).sum(-1) / w.sum(-1)
+        assert (mean_depth >= depths[:, 0] - 1e-6).all()
+        assert (mean_depth <= depths[:, -1] + 1e-6).all()
 
 
 class TestMask:
@@ -94,18 +110,3 @@ class TestGradients:
 
         expected = numgrad(scalar, sig0.copy(), eps=1e-4)
         assert np.abs(sig.grad - expected).max() < 1e-3
-
-
-class TestAuxiliaries:
-    def test_expected_depth_range(self, ray_batch):
-        sigmas, colors, depths = ray_batch
-        _, weights = composite(Tensor(sigmas), Tensor(colors), depths, 6.0)
-        depth = expected_depth(weights, depths)
-        assert (depth.data <= 6.0 + 1e-5).all()
-        assert (depth.data >= 0.0).all()
-
-    def test_opacity_bounds(self, ray_batch):
-        sigmas, colors, depths = ray_batch
-        _, weights = composite(Tensor(sigmas), Tensor(colors), depths, 6.0)
-        alpha = opacity(weights)
-        assert ((alpha.data >= 0) & (alpha.data <= 1 + 1e-6)).all()

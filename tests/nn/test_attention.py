@@ -52,22 +52,3 @@ class TestAttention:
         long = att.flops(1, 32)
         # Attention term is quadratic in points.
         assert long > 2 * short
-
-
-class TestTransformerBlock:
-    def test_shapes_and_residual(self, rng):
-        block = nn.TransformerBlock(8, heads=2, rng=rng)
-        x = rng.standard_normal((2, 6, 8)).astype(np.float32)
-        out = block(Tensor(x))
-        assert out.shape == (2, 6, 8)
-
-    def test_masked_forward(self, rng):
-        block = nn.TransformerBlock(8, heads=2, rng=rng)
-        mask = np.ones((2, 6), dtype=bool)
-        mask[:, 5:] = False
-        out = block(Tensor(rng.standard_normal((2, 6, 8))), mask=mask)
-        assert np.isfinite(out.data).all()
-
-    def test_flops_exceed_attention_alone(self, rng):
-        block = nn.TransformerBlock(8, heads=2, rng=rng)
-        assert block.flops(2, 16) > block.attention.flops(2, 16)

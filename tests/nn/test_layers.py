@@ -120,9 +120,3 @@ class TestConvAndPool:
         manual = (x[0, 0] * conv.weight.data.reshape(3, 3)).sum() \
             + conv.bias.data[0]
         assert np.isclose(out[0, 0, 0, 0], manual, atol=1e-5)
-
-    def test_avg_pool(self):
-        x = Tensor(np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4))
-        out = nn.AvgPool2d(2)(x)
-        assert out.shape == (1, 1, 2, 2)
-        assert np.isclose(out.data[0, 0, 0, 0], (0 + 1 + 4 + 5) / 4)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.scenes import (CompositeField, GaussianBlob, GroundPlane,
-                          SolidBox, SphereShell, empty_space_fraction)
+                          SolidBox, SphereShell)
 
 ALL_FIELDS = [
     GaussianBlob(center=np.zeros(3), radius=0.3),
@@ -113,16 +113,3 @@ class TestComposite:
         b = GaussianBlob(center=np.array([3.0, 0, 0]), radius=0.2)
         lo, hi = CompositeField([a, b]).bounds()
         assert lo[0] < -2.0 and hi[0] > 3.0
-
-
-def test_empty_space_fraction_monotone_in_threshold(rng):
-    # The bounding box is tight (3 sigma), so even a lone blob leaves a
-    # moderate in-bounds empty fraction; raising the density threshold
-    # can only classify more space as empty.
-    sparse = CompositeField([GaussianBlob(center=np.zeros(3), radius=0.05)])
-    low = empty_space_fraction(sparse, np.random.default_rng(0),
-                               threshold=0.1)
-    high = empty_space_fraction(sparse, np.random.default_rng(0),
-                                threshold=5.0)
-    assert 0.0 < low <= high <= 1.0
-    assert high > 0.7

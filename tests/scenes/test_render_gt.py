@@ -5,8 +5,8 @@ import pytest
 
 from repro.geometry import Intrinsics, camera_at, rays_for_pixels
 from repro.scenes import (GaussianBlob, CompositeField, composite_numpy,
-                          field_sigma_color, hitting_weights, make_scene,
-                          render_image, render_rays)
+                          field_sigma_color, make_scene, render_image,
+                          render_rays)
 
 
 class TestCompositeNumpy:
@@ -86,6 +86,21 @@ class TestRenderers:
         b = render_rays(llff_scene.field, bundle, 32)
         assert np.allclose(a, b)
 
+    def test_render_rays_composites_field_at_bin_centres(self,
+                                                          llff_scene):
+        # Without an rng the reference quadrature samples the field at
+        # the bin centres of [near, far] and composites those samples.
+        bundle = rays_for_pixels(llff_scene.target_camera,
+                                 np.array([[12.0, 9.0], [3.0, 20.0]]),
+                                 llff_scene.near, llff_scene.far)
+        edges = np.linspace(llff_scene.near, llff_scene.far, 33)
+        depths = np.tile((edges[:-1] + edges[1:]) / 2, (2, 1))
+        sigmas, colors = field_sigma_color(llff_scene.field, bundle, depths)
+        expected, _, _ = composite_numpy(sigmas, colors, depths,
+                                         llff_scene.far)
+        assert np.allclose(render_rays(llff_scene.field, bundle, 32),
+                           expected)
+
     def test_render_image_chunking_equivalence(self, llff_scene):
         small = render_image(llff_scene.field, llff_scene.target_camera,
                              llff_scene.near, llff_scene.far, num_points=16,
@@ -116,14 +131,3 @@ class TestRenderers:
                                  num_points=points, step=12)
             errors.append(np.abs(image - reference).mean())
         assert errors[0] > errors[1] > errors[2]
-
-    def test_hitting_weights_match_composite(self, llff_scene):
-        bundle = rays_for_pixels(llff_scene.target_camera,
-                                 np.array([[12.0, 9.0]]),
-                                 llff_scene.near, llff_scene.far)
-        depths = np.linspace(llff_scene.near, llff_scene.far, 32)[None]
-        weights = hitting_weights(llff_scene.field, bundle, depths)
-        sigmas, colors = field_sigma_color(llff_scene.field, bundle, depths)
-        _, expected, _ = composite_numpy(sigmas, colors, depths,
-                                         llff_scene.far)
-        assert np.allclose(weights, expected)
