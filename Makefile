@@ -13,7 +13,7 @@ test:      ## fast inner loop: unit/property tests, no figure harnesses
 	$(PYTEST) -q -m "not slow"
 
 test-all:  ## full tier-1 suite (tests + paper figure/table harnesses)
-	$(PYTEST) -x -q
+	$(PYTEST) -x -q --durations=15
 
 bench:     ## hot-path perf harness -> BENCH_hotpaths.json (fails on >25% regression)
 	$(HARNESS)
@@ -43,7 +43,7 @@ docs-check: ## README/docs links and code references resolve
 	$(PYTEST) -q tests/test_docs.py
 
 sweep-smoke: ## tiny registry-driven sweep through the CLI (seconds)
-	$(REPRO) sweep dataset=deepvoxels views=2 points=16 variant=ours,var1 --workers 1
+	$(REPRO) sweep dataset=deepvoxels views=2 points=16 variant=ours,var1
 
 serve-smoke: ## one JSON request through the real serve daemon (seconds)
 	echo '{"scene": "fern", "quality": "draft"}' | $(REPRO) serve --source-points 16 | grep -q '"status": "ok"'

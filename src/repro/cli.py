@@ -9,8 +9,7 @@ Four subcommands drive :mod:`repro.core.registry`:
   committed artefact, ``--results-dir`` redirects it);
 * ``sweep [axis=v1,v2 ...]`` — a dataset x views x points x
   hardware-variant grid through the co-design pipeline
-  (``variant=`` names map to :func:`repro.hardware.variant_config`),
-  fanned out over :func:`repro.core.run_variants`;
+  (``variant=`` names map to :func:`repro.hardware.variant_config`);
 * ``batch <jobs_dir>`` — fault-isolated bulk ingestion of a directory
   of JSON job specs (:mod:`repro.core.batch`): malformed or crashing
   jobs are quarantined under ``errors/`` with traceback reports, the
@@ -25,9 +24,9 @@ Examples::
 
     python -m repro list
     python -m repro run table1
-    python -m repro run fig9 --scale 0.25 --workers 4
+    python -m repro run table2 --scale 0.1 --workers 2
     python -m repro sweep dataset=llff,nerf_synthetic views=2,6 \
-        variant=ours,var1 --workers 4 --out sweep_dataflow
+        variant=ours,var1 --out sweep_dataflow
     python -m repro batch customer_jobs/ --out results/customer_a
     echo '{"scene": "fern", "quality": "draft"}' | python -m repro serve
 """
@@ -41,7 +40,6 @@ from typing import List, Optional
 
 from .core.batch import run_batch
 from .core.context import RunContext
-from .core.faults import RETRIES_ENV, TIMEOUT_ENV
 from .core.registry import (all_experiments, get_experiment,
                             parse_sweep_grid, run_sweep)
 from .core.scene_cache import ENV_KNOB
@@ -52,18 +50,20 @@ from .models.sparse import SPARSE_ENV
 
 
 def _add_common_options(parser: argparse.ArgumentParser,
-                        scale: bool = True) -> None:
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker count for the variant fan-out AND "
-                             "source-view render sharding (scene "
-                             "preparation splits across cores when the "
-                             "outer fan-out is sequential; results are "
-                             "byte-identical at any width). Default: "
-                             "REPRO_WORKERS env, then CPU count; "
-                             "<= 0 forces fully sequential runs")
+                        experiment: bool = True) -> None:
+    if experiment:
+        parser.add_argument("--workers", type=int, default=None,
+                            help="worker count for sharding source-view "
+                                 "renders (scene preparation) and serve "
+                                 "dispatches over the frame pool; "
+                                 "experiment units always run in "
+                                 "process, and results are "
+                                 "byte-identical at any width. Default: "
+                                 "REPRO_WORKERS env, then CPU count; "
+                                 "<= 0 forces fully sequential runs")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the experiment's seed parameter")
-    if scale:
+    if experiment:
         parser.add_argument("--scale", type=float, default=1.0,
                             help="work multiplier applied through the "
                                  "experiment's scale rules (1.0 = the "
@@ -74,15 +74,6 @@ def _add_common_options(parser: argparse.ArgumentParser,
     parser.add_argument("--results-dir", default=None,
                         help="artefact output directory (default: the "
                              "committed benchmarks/results)")
-    parser.add_argument("--task-timeout", type=float, default=None,
-                        help=f"per-task timeout in seconds for the "
-                             f"worker pools (default: the {TIMEOUT_ENV} "
-                             f"env knob; <= 0 disables timeouts)")
-    parser.add_argument("--retries", type=int, default=None,
-                        help=f"bounded retry budget for failed/hung "
-                             f"pool tasks (default: the {RETRIES_ENV} "
-                             f"env knob, then 1; the final attempt "
-                             f"always runs in-process)")
     parser.add_argument("--sparse", action=argparse.BooleanOptionalAction,
                         default=None,
                         help=f"force the packed fine pass on/off for "
@@ -102,8 +93,8 @@ def _add_common_options(parser: argparse.ArgumentParser,
 
 def _context(args: argparse.Namespace) -> RunContext:
     kwargs = dict(seed=args.seed, scale=getattr(args, "scale", 1.0),
-                  workers=args.workers, cache_dir=args.cache_dir,
-                  task_timeout=args.task_timeout, retries=args.retries)
+                  workers=getattr(args, "workers", None),
+                  cache_dir=args.cache_dir)
     if args.results_dir is not None:
         kwargs["results_dir"] = args.results_dir
     return RunContext(**kwargs)
@@ -136,8 +127,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--out", default=None, metavar="NAME",
                               help="also write the sweep table as "
                                    "artefact NAME.txt")
-    # No --scale: a sweep's cost is its grid, there are no scale rules.
-    _add_common_options(sweep_parser, scale=False)
+    # No --scale or --workers: a sweep's cost is its grid (there are no
+    # scale rules), and its simulator points run in process.
+    _add_common_options(sweep_parser, experiment=False)
 
     batch_parser = commands.add_parser(
         "batch", help="fault-isolated bulk ingestion of a directory of "

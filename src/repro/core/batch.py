@@ -231,7 +231,7 @@ def run_batch(jobs_dir: str, ctx: Optional[RunContext] = None,
     ``batch_summary.txt`` report; ``errors_dir`` (default
     ``<out_dir>/errors``) receives quarantined specs and their
     traceback reports.  ``ctx`` supplies the run-wide knobs (workers,
-    cache dir, timeout/retry budget) and the *default* seed/scale —
+    cache dir) and the *default* seed/scale —
     a spec's own ``seed``/``scale`` fields win for that job.
     """
     ctx = ctx or RunContext()
@@ -321,5 +321,4 @@ def _job_context(ctx: RunContext, out_dir: str,
         seed=context_fields.get("seed", ctx.seed),
         scale=context_fields.get("scale", ctx.scale),
         workers=ctx.workers, cache_dir=ctx.cache_dir,
-        results_dir=out_dir, task_timeout=ctx.task_timeout,
-        retries=ctx.retries)
+        results_dir=out_dir)

@@ -1,23 +1,21 @@
 """Unified run context for the experiment registry.
 
 A :class:`RunContext` is the single object an experiment executes
-against: it owns the seeded RNG streams, the process-wide prepared
-scene / dense-reference memos (previously scattered across module
-globals in ``repro.core.experiments``), the optional disk-backed scene
-cache (:mod:`repro.core.scene_cache`), worker detection for the
-variant fan-out, and artefact I/O through
+against: its seed, scale, worker width, disk-cache directory and
+artefact directory.  This module also owns the process-wide prepared
+scene / dense-reference memos and the optional disk-backed scene cache
+(:mod:`repro.core.scene_cache`) behind them, and artefact I/O through
 :func:`repro.core.reporting.write_artifact`.
 
-The memos are process-wide by default (two contexts in one process
-share prepared scenes, exactly like the old module globals), so pool
-workers and sequential paths see identical values; the disk cache
-extends the reuse across processes and pytest sessions.
+The memos are process-wide (two contexts in one process share prepared
+scenes), so every experiment run in one process — Table 2 and Table 3
+in the same pytest session, say — pays for a scene once; the disk
+cache extends the reuse across processes and pytest sessions.
 """
 
 from __future__ import annotations
 
 import os
-import zlib
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
@@ -26,7 +24,7 @@ import numpy as np
 from .. import models as M
 from ..scenes.datasets import llff_eval_scenes
 from .scene_cache import SceneCache, recipe_key, source_images_key
-from . import faults, frame_pool, reporting
+from . import reporting
 
 LLFF_EVAL_SCENES = ("fern", "fortress", "horns", "trex")
 
@@ -61,9 +59,8 @@ _REFERENCE_MEMO: Dict[tuple, np.ndarray] = {}
 REFERENCE_POINTS = 192   # dense-reference quadrature of every harness
 
 # "cache unspecified" sentinel for llff_scene_data/llff_references:
-# distinct from None so an explicitly disabled cache (None, e.g. from a
-# RunContext whose cache_dir is an off-value) is honoured even when the
-# REPRO_CACHE_DIR env knob is set.
+# distinct from None so an explicitly disabled cache (None) is honoured
+# even when the REPRO_CACHE_DIR env knob is set.
 _UNRESOLVED = object()
 
 
@@ -182,20 +179,13 @@ class RunContext:
       (``None`` keeps the experiment's committed-artefact default);
     * ``scale`` — work multiplier applied through each experiment's
       declared scale rules (1.0 = the committed-artefact configuration);
-    * ``workers`` — fan-out width for :func:`repro.core.run_variants`
-      (``None`` = ``REPRO_WORKERS`` env, then CPU count);
+    * ``workers`` — width for the frame-pool sharding of source-view
+      renders and serve dispatches (``None`` = ``REPRO_WORKERS`` env,
+      then CPU count); experiment units always run in process;
     * ``cache_dir`` — disk scene-cache directory (``None`` = the
       ``REPRO_CACHE_DIR`` env knob);
     * ``results_dir`` — where :meth:`write_artifact` lands artefacts
-      (defaults to the committed ``benchmarks/results``);
-    * ``task_timeout`` — per-task timeout in seconds for the worker
-      pools (``None`` = the ``REPRO_TASK_TIMEOUT`` env knob, else off);
-    * ``retries`` — bounded retry budget for failed/hung pool tasks
-      (``None`` = the ``REPRO_RETRIES`` env knob, else 1).
-
-    The worker/timeout/retry knobs share one lenient parser
-    (:mod:`repro.core.knobs`): malformed values warn and fall back to
-    defaults instead of crashing a long run.
+      (defaults to the committed ``benchmarks/results``).
     """
 
     seed: Optional[int] = None
@@ -203,55 +193,6 @@ class RunContext:
     workers: Optional[int] = None
     cache_dir: Optional[str] = None
     results_dir: str = DEFAULT_RESULTS_DIR
-    task_timeout: Optional[float] = None
-    retries: Optional[int] = None
-
-    # ------------------------------------------------------------------
-    def rng(self, stream: str, seed: Optional[int] = None
-            ) -> np.random.Generator:
-        """A named, reproducible RNG stream.
-
-        Streams are independent per name (crc32-salted) and anchored at
-        ``seed`` (argument, else the context seed, else 0), so two
-        experiments drawing from differently named streams never
-        entangle their randomness.  The ported paper experiments keep
-        seeding their units through explicit ``seed`` parameters (that
-        is what makes the committed artefacts byte-stable); this is the
-        stream facility for *new* scenarios registered against the
-        context.
-        """
-        base = seed if seed is not None else (
-            self.seed if self.seed is not None else 0)
-        return np.random.default_rng(
-            (int(base), zlib.crc32(stream.encode("utf-8"))))
-
-    # ------------------------------------------------------------------
-    def scene_cache(self) -> Optional[SceneCache]:
-        return SceneCache.from_env(self.cache_dir)
-
-    def scene_data(self, image_scale: float, num_source_views: int = 10,
-                   seed: int = 1, gt_points: int = 128,
-                   names: Sequence[str] = LLFF_EVAL_SCENES
-                   ) -> Dict[str, "M.SceneData"]:
-        return llff_scene_data(image_scale, num_source_views, seed=seed,
-                               gt_points=gt_points, names=names,
-                               cache=self.scene_cache(),
-                               workers=self.workers)
-
-    def references(self, scene_data: Dict[str, "M.SceneData"], key: tuple,
-                   eval_step: int) -> Dict[str, np.ndarray]:
-        return llff_references(scene_data, key, eval_step,
-                               cache=self.scene_cache())
-
-    # ------------------------------------------------------------------
-    def resolve_workers(self, num_tasks: int) -> int:
-        return frame_pool.resolve_workers(num_tasks, self.workers)
-
-    def resolve_task_timeout(self) -> Optional[float]:
-        return faults.detect_task_timeout(self.task_timeout)
-
-    def resolve_retries(self) -> int:
-        return faults.detect_retries(self.retries)
 
     # ------------------------------------------------------------------
     def artifact_path(self, name: str) -> str:

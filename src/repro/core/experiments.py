@@ -1,9 +1,9 @@
 """Experiment unit functions.
 
 This module holds the *bodies* of every paper experiment as
-module-level, argument-pure, picklable unit functions — the task list
-that :class:`repro.core.registry.Experiment` objects fan out over
-:func:`repro.core.run_variants`.  Hardware experiments execute at the
+module-level, argument-pure unit functions — the task list that
+:class:`repro.core.registry.Experiment` objects run in process after
+their shared ``prepare`` hook.  Hardware experiments execute at the
 paper's full resolutions (the simulator does not march rays);
 algorithm experiments take scale knobs so the numpy training stays
 tractable, with defaults chosen to finish in minutes.  The
@@ -117,11 +117,10 @@ def _fig9_unit(dataset: str, seed: int, step: int, reference_points: int,
                pairs: Sequence[Tuple[int, int]],
                uniform_points: Sequence[int], image_scale: float
                ) -> Dict[str, List[Fig9Point]]:
-    """One dataset's Fig. 9 oracle sweep — a process-shippable unit.
+    """One dataset's Fig. 9 oracle sweep.
 
-    Module-level and argument-pure (scene generation is deterministic),
-    so :func:`run_variants` can fan the per-dataset sweeps out; curves
-    are identical wherever the unit runs.
+    Argument-pure (scene generation is deterministic), so curves are
+    identical whatever ran before the unit.
     """
     scene = make_scene(dataset, seed=seed, image_scale=image_scale)
     reference = M.render_target_reference(scene, reference_points, step)
@@ -241,13 +240,11 @@ def _table2_prepare(train_steps: int, eval_step: int, image_scale: float,
     """Deterministic shared inputs of every table-2 variant unit.
 
     Scene generation is crc32-seeded and the dense reference render
-    depends only on (scene, step), so rebuilding this in a worker
-    process yields exactly the values the sequential path shares.
-    The scene/reference renders come from the process-wide memo
+    depends only on (scene, step).  The scene/reference renders come
+    from the process-wide memo
     (:func:`repro.core.context.llff_scene_data`) — optionally backed by
     the ``REPRO_CACHE_DIR`` disk cache — so Table 3 runs at the same
-    view count, repeated harness invocations, and pool workers pay for
-    them once.
+    view count and repeated harness invocations pay for them once.
     """
     memo_key = (float(image_scale), int(num_source_views), int(seed), 128)
     names = [name for name in LLFF_EVAL_SCENES if name in scenes]
@@ -288,18 +285,13 @@ def _table2_evaluate(model, method: str, workload_row: str, scene_data,
 def _table2_unit(kind: str, train_steps: int, eval_step: int,
                  image_scale: float, num_points: int, seed: int,
                  scenes: Sequence[str], num_source_views: int,
-                 prep=None) -> List[AblationRow]:
+                 prep) -> List[AblationRow]:
     """Train and evaluate one independent table-2 variant.
 
-    Module-level and argument-pure so :func:`run_variants` can ship it
-    to a worker process; every variant re-seeds its own RNG, so rows
-    are identical no matter where (or next to what) the unit runs.
-    ``prep`` optionally injects the shared :func:`_table2_prepare`
-    output so the sequential path pays for it once.
+    ``prep`` is the shared :func:`_table2_prepare` output, computed
+    once per run.  Every variant re-seeds its own RNG, so rows are
+    identical no matter which variants ran before it.
     """
-    if prep is None:
-        prep = _table2_prepare(train_steps, eval_step, image_scale,
-                               num_points, seed, scenes, num_source_views)
     scene_data, train_cfg, references = prep
     n_max = num_points
 
@@ -381,12 +373,10 @@ def _table3_prepare(views: int, train_steps: int, eval_step: int,
 
 def _table3_unit(method: str, views: int, train_steps: int,
                  finetune_steps: int, eval_step: int, image_scale: float,
-                 num_points: int, seed: int, prep=None) -> AblationRow:
+                 num_points: int, seed: int, prep) -> AblationRow:
     """Pretrain one method at one view count, finetune per scene,
-    evaluate — one independent, process-shippable table-3 unit."""
-    if prep is None:
-        prep = _table3_prepare(views, train_steps, eval_step, image_scale,
-                               num_points, seed)
+    evaluate — one independent table-3 unit.  ``prep`` is the shared
+    :func:`_table3_prepare` output for ``views``."""
     scene_data, train_cfg, references = prep
 
     rng = np.random.default_rng(seed)
@@ -441,8 +431,7 @@ def _fig11_unit(axis: str, value: int, seed: int) -> Dict[str, float]:
 
     Builds its own :class:`CoDesignPipeline` — the simulators are pure
     functions of the workload (memoisation only saves time), so a
-    fresh pipeline per unit returns exactly the shared-pipeline values
-    and the unit can ship to a worker process.
+    fresh pipeline per unit returns exactly the shared-pipeline values.
     """
     pipeline = CoDesignPipeline()
     if axis == "views":

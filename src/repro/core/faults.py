@@ -1,15 +1,14 @@
 """Deterministic fault injection and the shared retry policy.
 
-The execution layer (the one pool executor in
-:mod:`repro.core.frame_pool`, behind both ``map_chunks`` and
-``run_variants``; :mod:`repro.core.batch`; and the scene cache) must
-survive crashed workers, hung workers, corrupt results, corrupt cache
-entries, and interrupted ingestion runs — with byte-identical outputs
-on the retry path.  Proving that requires *reproducible* failures:
-this module provides a declarative :class:`FaultPlan` that injects
-exactly the faults a test asks for, keyed by task index and attempt
-number, so every run of a fault-injection suite sees the same failure
-sequence.
+The execution layer (the one pool executor,
+:func:`repro.core.frame_pool.map_chunks`; :mod:`repro.core.batch`; and
+the scene cache) must survive crashed workers, hung workers, corrupt
+results, corrupt cache entries, and interrupted ingestion runs — with
+byte-identical outputs on the retry path.  Proving that requires
+*reproducible* failures: this module provides a declarative
+:class:`FaultPlan` that injects exactly the faults a test asks for,
+keyed by task index and attempt number, so every run of a
+fault-injection suite sees the same failure sequence.
 
 Fault kinds (all injected **inside pool workers only** — the
 in-process/sequential paths never inject, which is what makes them the
@@ -35,12 +34,11 @@ along with the task itself (workers may be spawned processes — they
 cannot see parent globals).
 
 The retry policy half is plain shared machinery, active whether or not
-a plan is installed: :func:`retry_call` (bounded attempts, exponential
-backoff with deterministic jitter, retry on declared exception types),
-:func:`backoff_delay` (the jitter schedule itself), and the
-``REPRO_TASK_TIMEOUT`` / ``REPRO_RETRIES`` knobs, resolved by the one
-lenient knob parser (:mod:`repro.core.knobs`: malformed values warn
-and fall back, never crash an hours-long run).
+a plan is installed: :func:`backoff_delay` (exponential backoff with
+deterministic jitter) and the ``REPRO_TASK_TIMEOUT`` /
+``REPRO_RETRIES`` knobs, resolved by the one lenient knob parser
+(:mod:`repro.core.knobs`: malformed values warn and fall back, never
+crash an hours-long run).
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ import time
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 from . import knobs
 
@@ -109,9 +107,8 @@ class FaultSpec:
 class FaultPlan:
     """A reproducible failure schedule for one test or drill.
 
-    * ``tasks`` — task index -> :class:`FaultSpec`, injected by the
-      pool layers (``scope`` restricts which layer: ``"frame_pool"``,
-      ``"run_variants"``, or ``""`` for any);
+    * ``tasks`` — task index -> :class:`FaultSpec`, injected by
+      :func:`repro.core.frame_pool.map_chunks`;
     * ``cache_keys`` — substrings of scene-cache keys whose entries
       read as corrupt;
     * ``jobs`` — batch job stem -> ``"interrupt"`` (the ingestion run
@@ -126,17 +123,13 @@ class FaultPlan:
     """
 
     tasks: Mapping[int, FaultSpec] = field(default_factory=dict)
-    scope: str = ""
     cache_keys: Tuple[str, ...] = ()
     jobs: Mapping[str, str] = field(default_factory=dict)
     requests: Mapping[str, str] = field(default_factory=dict)
 
-    def fault_for(self, index: int, attempt: int,
-                  scope: str = "") -> Optional[FaultSpec]:
-        """The fault to inject for task ``index`` on ``attempt`` at
-        call site ``scope``, or ``None``."""
-        if self.scope and scope and scope != self.scope:
-            return None
+    def fault_for(self, index: int, attempt: int) -> Optional[FaultSpec]:
+        """The fault to inject for task ``index`` on ``attempt``, or
+        ``None``."""
         spec = self.tasks.get(int(index))
         if spec is not None and int(attempt) in spec.attempts:
             return spec
@@ -195,52 +188,16 @@ def apply_worker_fault(spec: FaultSpec, task_index: int):
 # ----------------------------------------------------------------------
 # Retry policy
 # ----------------------------------------------------------------------
-def backoff_delay(attempt: int, base: float = DEFAULT_BACKOFF_S,
-                  seed: int = 0, salt: str = "") -> float:
+def backoff_delay(attempt: int, base: float = DEFAULT_BACKOFF_S) -> float:
     """Exponential backoff with deterministic jitter.
 
     ``base * 2**attempt`` plus a jitter in ``[0, base)`` derived from
-    ``crc32(seed:salt:attempt)`` — reproducible for a given run seed
-    (no wall-clock or global RNG involved), but de-synchronised across
-    differently salted callers so parallel retriers don't stampede in
-    lockstep.
+    ``crc32(attempt)`` — reproducible from run to run (no wall-clock or
+    global RNG involved).
     """
-    token = f"{int(seed)}:{salt}:{int(attempt)}".encode("utf-8")
+    token = str(int(attempt)).encode("utf-8")
     jitter = base * (zlib.crc32(token) % 1000) / 1000.0
     return base * (2.0 ** max(int(attempt), 0)) + jitter
-
-
-def retry_call(function: Callable, *args,
-               retries: Optional[int] = None,
-               retry_on: Tuple[type, ...] = (Exception,),
-               base_delay: float = DEFAULT_BACKOFF_S,
-               seed: int = 0, salt: str = "",
-               on_retry: Optional[Callable] = None,
-               sleep: Callable[[float], None] = time.sleep,
-               **kwargs):
-    """Call ``function(*args, **kwargs)`` with bounded retries.
-
-    Retries only on ``retry_on`` exception types (anything else
-    propagates immediately), sleeping :func:`backoff_delay` between
-    attempts; after ``retries`` retries the final failure propagates.
-    ``on_retry(attempt, error)`` observes each retry (logging hooks).
-    Per-task *timeouts* are enforced where a task can actually be
-    abandoned — at the pool-future layer of
-    :mod:`repro.core.frame_pool`, whose ``TimeoutError`` is just another
-    retryable error here; an in-process Python call cannot be
-    interrupted.
-    """
-    retries = detect_retries(retries)
-    for attempt in range(retries + 1):
-        try:
-            return function(*args, **kwargs)
-        except retry_on as error:
-            if attempt >= retries:
-                raise
-            if on_retry is not None:
-                on_retry(attempt, error)
-            sleep(backoff_delay(attempt, base=base_delay, seed=seed,
-                                salt=salt))
 
 
 # ----------------------------------------------------------------------

@@ -3,10 +3,10 @@ table/figure, all driven through one lifecycle.
 
 Every experiment is a registered, declarative object with four hooks —
 
-* ``prepare(ctx, params)``  -> shared state for the sequential path
-  (worker processes rebuild it deterministically from the unit args);
-* ``units(ctx, params, shared)`` -> a picklable ``(function, kwargs)``
-  task list, fanned out over :func:`repro.core.run_variants`;
+* ``prepare(ctx, params)``  -> state shared by every unit (prepared
+  scenes, references, supervision caches), computed once per run;
+* ``units(ctx, params, shared)`` -> a ``(function, kwargs)`` task
+  list, run in process in order;
 * ``reduce(results, params)``    -> the experiment's row structure;
 * ``render(rows, params)``       -> the committed artefact text under
   ``benchmarks/results/`` — byte-identical to the historical
@@ -30,7 +30,6 @@ from ..scenes.datasets import DATASETS
 from . import experiments as E
 from .context import LLFF_EVAL_SCENES, RunContext
 from .figures import ascii_line_chart, stacked_latency_chart
-from .frame_pool import run_variants
 from .pipeline import CoDesignPipeline
 from .reporting import format_table, ratio_note
 from .scene_cache import exported_cache_knob
@@ -117,31 +116,21 @@ class Experiment:
     # ------------------------------------------------------------------
     def run(self, ctx: Optional[RunContext] = None,
             **overrides) -> ExperimentResult:
-        """prepare -> units -> fan-out -> reduce -> render.
+        """prepare -> units -> reduce -> render, all in this process.
 
-        With one worker the shared ``prepare`` state is computed once
-        and injected into every unit (the historical sequential path);
-        with several, the picklable units rebuild it deterministically
-        in their worker processes — rows are byte-identical either way.
-        An explicit ``ctx.cache_dir`` is exported through the
-        ``REPRO_CACHE_DIR`` knob for the duration of the run, so the
-        sequential path and pool workers alike see the same disk cache.
+        The ``prepare`` hook runs once and its state is handed to every
+        unit, so a ladder of variants shares one set of prepared scenes
+        and their supervision caches.  ``ctx.workers`` reaches the hooks
+        that shard their own work (source-view renders, serve
+        dispatches).  An explicit ``ctx.cache_dir`` is exported through
+        the ``REPRO_CACHE_DIR`` knob for the duration of the run.
         """
         ctx = ctx or RunContext()
         params = self.bind(ctx, overrides)
         with exported_cache_knob(ctx.cache_dir):
-            tasks = self.units(ctx, params, None)
-            count = ctx.resolve_workers(len(tasks))
-            if count <= 1:
-                shared = self.prepare(ctx, params) if self.prepare \
-                    else None
-                if shared is not None:
-                    tasks = self.units(ctx, params, shared)
-                results = [function(**kwargs) for function, kwargs in tasks]
-            else:
-                results = run_variants(tasks, workers=count,
-                                       timeout=ctx.task_timeout,
-                                       retries=ctx.retries)
+            shared = self.prepare(ctx, params) if self.prepare else None
+            tasks = self.units(ctx, params, shared)
+            results = [function(**kwargs) for function, kwargs in tasks]
         rows = self.reduce(results, params)
         text = self.render(rows, params)
         return ExperimentResult(name=self.name, params=params, rows=rows,
@@ -309,15 +298,12 @@ register(Experiment(
 # Table 2 — component ablation
 # ----------------------------------------------------------------------
 def _table2_prepare_hook(ctx, params):
-    # The shared prepare runs in the parent (sequential resolution
-    # only), so the scene source-view renders may shard over the
-    # frame pool.
+    # The scene source-view renders shard over the frame pool.
     return E._table2_prepare(**params, workers=ctx.workers)
 
 
 def _table2_units(ctx, params, shared) -> List[Task]:
-    extra = {} if shared is None else {"prep": shared}
-    return [(E._table2_unit, dict(kind=kind, **params, **extra))
+    return [(E._table2_unit, dict(kind=kind, prep=shared, **params))
             for kind in E.TABLE2_VARIANTS]
 
 
@@ -385,10 +371,9 @@ def _table3_units(ctx, params, shared) -> List[Task]:
     tasks: List[Task] = []
     for views in params["view_counts"]:
         for method in E.TABLE3_METHODS:
-            kwargs = dict(method=method, views=views, **unit_params)
-            if shared is not None:
-                kwargs["prep"] = shared[views]
-            tasks.append((E._table3_unit, kwargs))
+            tasks.append((E._table3_unit,
+                          dict(method=method, views=views,
+                               prep=shared[views], **unit_params)))
     return tasks
 
 
@@ -781,8 +766,8 @@ def parse_sweep_grid(tokens: Sequence[str]) -> Dict[str, tuple]:
 
 def _sweep_unit(dataset: str, views: int, points: int, variant: str,
                 seed: int) -> Dict[str, object]:
-    """One sweep grid point — a picklable unit reusing the co-design
-    pipeline with the named hardware variant."""
+    """One sweep grid point: the co-design pipeline with the named
+    hardware variant."""
     pipeline = CoDesignPipeline(variant_config(variant))
     accel = pipeline.simulate_accelerator(dataset, num_views=views,
                                           points_per_ray=points, seed=seed)
@@ -820,22 +805,16 @@ def run_sweep(grid: Optional[Mapping[str, Sequence]] = None,
               ) -> Tuple[List[Dict[str, object]], str]:
     """Run a dataset x views x points x hardware-variant grid.
 
-    Every grid point is an independent simulator run fanned out over
-    :func:`repro.core.run_variants` (``ctx.workers`` / ``REPRO_WORKERS``
-    / CPU count); rows come back in grid order — datasets outermost,
-    variants innermost — byte-identical at any worker count.
+    Every grid point is an independent simulator run; rows come back
+    in grid order — datasets outermost, variants innermost.
     """
     ctx = ctx or RunContext()
     full = dict(SWEEP_DEFAULT_GRID)
     full.update({axis: tuple(values)
                  for axis, values in (grid or {}).items()})
     seed = ctx.seed if ctx.seed is not None else 0
-    tasks = [(_sweep_unit, dict(dataset=dataset, views=views,
-                                points=points, variant=variant, seed=seed))
-             for dataset, views, points, variant in itertools.product(
-                 full["dataset"], full["views"], full["points"],
-                 full["variant"])]
-    with exported_cache_knob(ctx.cache_dir):
-        rows = run_variants(tasks, workers=ctx.workers,
-                            timeout=ctx.task_timeout, retries=ctx.retries)
+    rows = [_sweep_unit(dataset, views, points, variant, seed)
+            for dataset, views, points, variant in itertools.product(
+                full["dataset"], full["views"], full["points"],
+                full["variant"])]
     return rows, render_sweep(rows)

@@ -5,8 +5,8 @@ minutes-scale steps of preparing an LLFF analogue — rendering the
 source views (``SceneData.prepare``) and the dense target reference
 (``render_target_reference``) — are pure functions of a small recipe.
 This module persists those arrays under a cache directory keyed by the
-crc32 of the recipe string, so :func:`repro.core.run_variants` pool
-workers and repeated pytest sessions stop rebuilding them.
+crc32 of the recipe string, so separate processes (repeated pytest
+sessions, CLI runs, the serve daemon) stop rebuilding them.
 
 Knob: ``REPRO_CACHE_DIR`` names the cache directory; unset, empty, or
 one of ``0 / off / none / disabled`` turns the disk layer off (the
@@ -47,10 +47,9 @@ def exported_cache_knob(cache_dir: Optional[str]):
     duration of a run, restoring the previous value afterwards.
 
     This is how a :class:`repro.core.context.RunContext.cache_dir` (or
-    the CLI's ``--cache-dir``) reaches every consumer — the sequential
-    unit path *and* ``run_variants`` pool workers, which are spawned
-    fresh for each call and inherit the environment.  ``None`` (unspecified) leaves the environment alone;
-    off-values pass through and disable the cache as usual.
+    the CLI's ``--cache-dir``) reaches every prepare hook and unit of
+    an experiment run.  ``None`` (unspecified) leaves the environment
+    alone; off-values pass through and disable the cache as usual.
     """
     if cache_dir is None:
         yield

@@ -14,8 +14,6 @@ from repro.core.faults import FaultPlan, injected_faults
 from repro.core.registry import Experiment
 
 
-# Module-level so the variant pool could pickle them (the 1-worker
-# default keeps these sequential, but the contract is the same).
 def _tiny_unit(seed=1, width=3):
     return [seed * i for i in range(width)]
 
@@ -240,6 +238,20 @@ class TestRunBatch:
         inherited = tiny_registry.run(RunContext(seed=2)).text + "\n"
         assert (jobs / "out" / "pinned.txt").read_text() == pinned
         assert (jobs / "out" / "inherits.txt").read_text() == inherited
+
+    @pytest.mark.parametrize("fields, seed, scale", [
+        ({}, 2, 0.5),                            # inherits the batch
+        ({"seed": 8, "scale": 0.25}, 8, 0.25),   # the spec wins
+    ])
+    def test_job_context_carries_batch_knobs(self, tmp_path, fields,
+                                             seed, scale):
+        ctx = RunContext(seed=2, scale=0.5, workers=3,
+                         cache_dir=str(tmp_path / "cache"))
+        job_ctx = batch._job_context(ctx, str(tmp_path / "out"), fields)
+        assert (job_ctx.seed, job_ctx.scale) == (seed, scale)
+        assert job_ctx.workers == 3
+        assert job_ctx.cache_dir == str(tmp_path / "cache")
+        assert job_ctx.results_dir == str(tmp_path / "out")
 
     def test_summary_render_is_deterministic(self, tmp_path,
                                              tiny_registry):

@@ -48,6 +48,23 @@ class TestRun:
             main(["run", "table1", "--workers", "44x"])
         assert "invalid int value" in capsys.readouterr().err
 
+    def test_workers_flag_reaches_the_run_context(self, monkeypatch,
+                                                  capsys):
+        from repro.core.registry import Experiment
+
+        seen = []
+        real_run = Experiment.run
+
+        def recording_run(self, ctx=None, **overrides):
+            seen.append(ctx.workers)
+            return real_run(self, ctx, **overrides)
+
+        monkeypatch.setattr(Experiment, "run", recording_run)
+        assert main(["run", "table1", "--workers", "2"]) == 0
+        assert main(["run", "table1"]) == 0
+        capsys.readouterr()
+        assert seen == [2, None]
+
     def test_cache_dir_flag_does_not_leak_into_environ(self, tmp_path,
                                                        monkeypatch):
         import os
@@ -67,7 +84,7 @@ class TestRun:
 class TestSweep:
     def test_two_point_sweep(self, capsys):
         assert main(["sweep", "dataset=deepvoxels", "views=2", "points=8",
-                     "variant=ours,var1", "--workers", "1"]) == 0
+                     "variant=ours,var1"]) == 0
         out = capsys.readouterr().out
         assert "Registry sweep — 2 grid point(s)" in out
         assert "Var-1" not in out            # variant key, not config name
@@ -79,16 +96,19 @@ class TestSweep:
         assert main(["sweep", "views=,"]) == 2       # empty axis
         assert "bad grid token" in capsys.readouterr().err
 
-    def test_sweep_rejects_scale_flag(self, capsys):
-        # sweep has no scale rules; --scale must be a usage error, not
-        # a silently ignored flag.
+    @pytest.mark.parametrize("flag, value", [("--scale", "0.1"),
+                                             ("--workers", "2")])
+    def test_sweep_rejects_flags_it_cannot_honour(self, capsys, flag,
+                                                 value):
+        # sweep has no scale rules and runs its grid in process; these
+        # flags must be usage errors, not silently ignored.
         with pytest.raises(SystemExit):
-            main(["sweep", "views=2", "--scale", "0.1"])
+            main(["sweep", "views=2", flag, value])
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_sweep_out_writes_artifact(self, tmp_path, capsys):
         assert main(["sweep", "dataset=deepvoxels", "views=1", "points=8",
-                     "--workers", "1", "--out", "sweep_smoke",
+                     "--out", "sweep_smoke",
                      "--results-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         path = tmp_path / "sweep_smoke.txt"
@@ -139,9 +159,32 @@ class TestBatch:
         assert (out / "good.txt").is_file()
         assert not (jobs / "out").exists()
 
-    def test_task_timeout_and_retries_flags_parse(self, tmp_path,
-                                                  capsys):
+    def test_workers_flag_reaches_the_batch_context(self, tmp_path,
+                                                    monkeypatch, capsys):
+        import repro.cli as cli
+
+        seen = []
+        real_run_batch = cli.run_batch
+
+        def recording_run_batch(jobs_dir, ctx, **kwargs):
+            seen.append(ctx.workers)
+            return real_run_batch(jobs_dir, ctx=ctx, **kwargs)
+
+        monkeypatch.setattr(cli, "run_batch", recording_run_batch)
         jobs = self._jobs_dir(tmp_path)
-        assert main(["batch", str(jobs), "--task-timeout", "30",
-                     "--retries", "2"]) == 0
+        assert main(["batch", str(jobs), "--workers", "2"]) == 0
         capsys.readouterr()
+        assert seen == [2]
+
+
+class TestRemovedFlags:
+    # The per-task timeout and retry budget are pool settings, set only
+    # through REPRO_TASK_TIMEOUT / REPRO_RETRIES; no subcommand takes
+    # them as flags.
+    @pytest.mark.parametrize("command", [["run", "table1"],
+                                         ["batch", "jobs"]])
+    @pytest.mark.parametrize("flag", ["--task-timeout", "--retries"])
+    def test_flag_is_a_usage_error(self, capsys, command, flag):
+        with pytest.raises(SystemExit):
+            main([*command, flag, "2"])
+        assert "unrecognized arguments" in capsys.readouterr().err

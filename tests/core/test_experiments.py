@@ -6,13 +6,11 @@ experiment runs with reduced knobs and its output structure is checked.
 
 import pytest
 
-from repro import core
 from repro.core import RunContext, get_experiment
 
 
-def _rows(name, workers=None, **overrides):
-    return get_experiment(name).run(RunContext(workers=workers),
-                                    **overrides).rows
+def _rows(name, **overrides):
+    return get_experiment(name).run(RunContext(), **overrides).rows
 
 
 class TestCheapRunners:
@@ -83,140 +81,48 @@ class TestTrainingRunners:
         assert all(row.per_scene for row in rows)
 
 
-# ----------------------------------------------------------------------
-# Multi-process variant fan-out
-# ----------------------------------------------------------------------
-def _square(value):          # module-level so process pools can pickle it
-    return value * value
-
-
-def _square_chunk(payload, value):
-    return value * value
-
-
-def _slow_identity(value, delay):
-    import time
-
-    time.sleep(delay)
-    return value
-
-
-def _touch_marker(path):
-    with open(path, "a") as handle:
-        handle.write("ran\n")
-
-
-def _raise_oserror():
-    raise FileNotFoundError("missing scene file")
-
-
-class TestVariantRunner:
-    def test_sequential_and_parallel_agree(self):
-        tasks = [(_square, {"value": v}) for v in range(5)]
-        sequential = core.run_variants(tasks, workers=1)
-        parallel = core.run_variants(tasks, workers=3)
-        assert sequential == [0, 1, 4, 9, 16]
-        assert parallel == sequential
-
-    def test_result_order_is_task_order_not_completion_order(self):
-        # The first task finishes last; results must still come back in
-        # submission order.
-        tasks = [(_slow_identity, {"value": 0, "delay": 0.4}),
-                 (_slow_identity, {"value": 1, "delay": 0.0}),
-                 (_slow_identity, {"value": 2, "delay": 0.0})]
-        assert core.run_variants(tasks, workers=3) == [0, 1, 2]
-
-    def test_unit_exceptions_propagate(self):
-        def boom():
-            raise RuntimeError("unit failure")
-
-        with pytest.raises(RuntimeError, match="unit failure"):
-            core.run_variants([(boom, {})], workers=1)
-
-    def test_unit_oserror_propagates_without_sequential_rerun(self,
-                                                              tmp_path):
-        # A unit raising an OSError subclass is a *unit* failure, not a
-        # pool failure: it must propagate from the parallel path and
-        # must not trigger the sequential fallback (which would quietly
-        # re-run every — potentially hours-long — unit).  The marker
-        # file counts how often the healthy unit executed.
-        marker = str(tmp_path / "ran")
-        with pytest.raises(FileNotFoundError, match="missing scene"):
-            core.run_variants([(_touch_marker, {"path": marker}),
-                               (_raise_oserror, {})], workers=2)
-        with open(marker) as handle:
-            assert len(handle.readlines()) == 1
-
-    @pytest.mark.parametrize("scope", ["run_variants", "frame_pool"])
-    def test_blocked_process_spawning_falls_back_sequentially(
-            self, monkeypatch, scope):
-        # Worker processes spawn lazily inside ``submit``; a sandbox
-        # that blocks process creation surfaces a PermissionError there
-        # and the executor must fall back to the sequential path instead
-        # of crashing the harness.
-        import concurrent.futures
-
-        def blocked_submit(self, fn, *args, **kwargs):
-            raise PermissionError("process spawning blocked")
-
-        monkeypatch.setattr(
-            concurrent.futures.ProcessPoolExecutor, "submit",
-            blocked_submit)
-        if scope == "run_variants":
-            tasks = [(_square, {"value": v}) for v in range(3)]
-            assert core.run_variants(tasks, workers=2) == [0, 1, 4]
-        else:
-            tasks = [(v,) for v in range(3)]
-            assert core.map_chunks(_square_chunk, (), tasks,
-                                   workers=2) == [0, 1, 4]
-
-
 @pytest.mark.slow
-class TestParallelFigureHarness:
-    """The acceptance property: table2/table3 rows are byte-identical
-    whether the variant units run in one process or a pool."""
+class TestWorkerWidthInvariance:
+    """Rows are byte-identical whether the work an experiment shards
+    (source-view renders in the prepare hooks, serve dispatches) runs
+    in process or on the frame pool."""
+
+    @staticmethod
+    def _rows_at(name, workers, **overrides):
+        from repro.core.context import clear_scene_memos
+
+        # Drop the memoised scenes so each width renders them anew.
+        clear_scene_memos()
+        try:
+            ctx = RunContext(workers=workers, cache_dir="off")
+            return get_experiment(name).run(ctx, **overrides).rows
+        finally:
+            clear_scene_memos()
 
     @staticmethod
     def _as_tuples(rows):
         return [(row.method, row.mflops_per_pixel,
                  sorted(row.per_scene.items())) for row in rows]
 
-    def test_table2_rows_identical_across_runners(self):
+    def test_table2_rows_identical_across_widths(self):
         kwargs = dict(train_steps=6, eval_step=16, image_scale=1 / 16,
                       num_points=10, scenes=("fortress",),
                       num_source_views=4)
-        sequential = _rows("table2", workers=1, **kwargs)
-        parallel = _rows("table2", workers=3, **kwargs)
-        assert self._as_tuples(sequential) == self._as_tuples(parallel)
+        sequential = self._rows_at("table2", 1, **kwargs)
+        sharded = self._rows_at("table2", 2, **kwargs)
+        assert self._as_tuples(sequential) == self._as_tuples(sharded)
 
-    def test_table3_rows_identical_across_runners(self):
+    def test_table3_rows_identical_across_widths(self):
         kwargs = dict(train_steps=5, finetune_steps=3, eval_step=16,
                       image_scale=1 / 16, num_points=10, view_counts=(4,))
-        sequential = _rows("table3", workers=1, **kwargs)
-        parallel = _rows("table3", workers=2, **kwargs)
-        assert self._as_tuples(sequential) == self._as_tuples(parallel)
+        sequential = self._rows_at("table3", 1, **kwargs)
+        sharded = self._rows_at("table3", 2, **kwargs)
+        assert self._as_tuples(sequential) == self._as_tuples(sharded)
 
-    def test_fig9_curves_identical_across_runners(self):
-        kwargs = dict(datasets=("nerf_synthetic", "llff"), step=16,
-                      image_scale=1 / 16, pairs=((4, 8),),
-                      uniform_points=(12,), reference_points=64)
-        sequential = _rows("fig9", workers=1, **kwargs)
-        parallel = _rows("fig9", workers=2, **kwargs)
-        assert list(sequential) == list(parallel)
-        for dataset in sequential:
-            for curve in ("gen_nerf", "ibrnet"):
-                seq_pts = sequential[dataset][curve]
-                par_pts = parallel[dataset][curve]
-                assert [(p.label, p.avg_points, p.mflops_per_pixel, p.psnr)
-                        for p in seq_pts] \
-                    == [(p.label, p.avg_points, p.mflops_per_pixel, p.psnr)
-                        for p in par_pts]
-
-    def test_fig11_rows_identical_across_runners(self):
-        kwargs = dict(view_counts=(6, 2), point_counts=(96,))
-        sequential = _rows("fig11", workers=1, **kwargs)
-        parallel = _rows("fig11", workers=3, **kwargs)
-        assert sequential == parallel
-        assert [row["num_views"] for row in sequential["views"]] == [6, 2]
-        assert [row["points_per_ray"]
-                for row in sequential["points"]] == [96]
+    def test_serve_replay_rows_identical_across_widths(self):
+        kwargs = dict(levels=(1, 4), requests_per_client=1,
+                      burst_clients=4)
+        sequential = self._rows_at("serve_replay", 1, **kwargs)
+        sharded = self._rows_at("serve_replay", 2, **kwargs)
+        assert sequential == sharded
+        assert len(sequential) == 3

@@ -1,4 +1,4 @@
-"""Fault plans, the shared retry policy, and the timeout/retry knobs."""
+"""Fault plans, the backoff schedule, and the timeout/retry knobs."""
 
 import logging
 
@@ -8,7 +8,7 @@ from repro.core import faults, log
 from repro.core.faults import (RETRIES_ENV, TIMEOUT_ENV, CorruptResult,
                                FaultPlan, FaultSpec, backoff_delay,
                                detect_retries, detect_task_timeout,
-                               injected_faults, retry_call)
+                               injected_faults)
 
 
 class TestFaultPlan:
@@ -18,15 +18,6 @@ class TestFaultPlan:
         assert plan.fault_for(2, 1).kind == "corrupt"
         assert plan.fault_for(2, 2) is None       # budget exhausted
         assert plan.fault_for(0, 0) is None       # other tasks clean
-
-    def test_scope_restricts_call_site(self):
-        plan = FaultPlan(tasks={0: FaultSpec("crash")}, scope="frame_pool")
-        assert plan.fault_for(0, 0, scope="frame_pool") is not None
-        assert plan.fault_for(0, 0, scope="run_variants") is None
-        # An unscoped plan (or an unscoped call site) matches anywhere.
-        assert plan.fault_for(0, 0, scope="") is not None
-        assert FaultPlan(tasks={0: FaultSpec("crash")}).fault_for(
-            0, 0, scope="frame_pool") is not None
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
@@ -60,9 +51,9 @@ class TestFaultPlan:
 
 
 class TestBackoff:
-    def test_deterministic_for_seed_and_salt(self):
-        assert backoff_delay(1, seed=3, salt="x") \
-            == backoff_delay(1, seed=3, salt="x")
+    def test_deterministic(self):
+        assert [backoff_delay(i) for i in range(4)] \
+            == [backoff_delay(i) for i in range(4)]
 
     def test_exponential_base_with_bounded_jitter(self):
         base = 0.1
@@ -71,57 +62,22 @@ class TestBackoff:
             floor = base * 2 ** attempt
             assert floor <= delay < floor + base
 
-    def test_salt_desynchronises_callers(self):
-        delays_a = [backoff_delay(i, salt="frame_pool") for i in range(4)]
-        delays_b = [backoff_delay(i, salt="run_variants") for i in range(4)]
-        assert delays_a != delays_b
+    def test_same_schedule_in_every_process(self):
+        # The jitter comes from crc32, not hash(): a fresh interpreter
+        # with a different hash seed computes the same schedule.
+        import json
+        import os
+        import subprocess
+        import sys
 
-
-class TestRetryCall:
-    def _flaky(self, failures, error=RuntimeError):
-        calls = []
-
-        def function(value):
-            calls.append(value)
-            if len(calls) <= failures:
-                raise error("transient")
-            return value * 2
-
-        return function, calls
-
-    def test_succeeds_after_transient_failures(self):
-        function, calls = self._flaky(2)
-        slept = []
-        assert retry_call(function, 21, retries=3,
-                          sleep=slept.append) == 42
-        assert len(calls) == 3
-        assert slept == [backoff_delay(0), backoff_delay(1)]
-
-    def test_budget_exhaustion_propagates_last_error(self):
-        function, calls = self._flaky(10)
-        with pytest.raises(RuntimeError, match="transient"):
-            retry_call(function, 1, retries=2, sleep=lambda _: None)
-        assert len(calls) == 3        # initial + 2 retries
-
-    def test_undeclared_exceptions_never_retried(self):
-        function, calls = self._flaky(1, error=KeyError)
-        with pytest.raises(KeyError):
-            retry_call(function, 1, retries=5, retry_on=(RuntimeError,),
-                       sleep=lambda _: None)
-        assert len(calls) == 1
-
-    def test_on_retry_observes_each_attempt(self):
-        function, _ = self._flaky(2)
-        seen = []
-        retry_call(function, 1, retries=2, sleep=lambda _: None,
-                   on_retry=lambda attempt, error: seen.append(attempt))
-        assert seen == [0, 1]
-
-    def test_zero_retries_is_single_attempt(self):
-        function, calls = self._flaky(1)
-        with pytest.raises(RuntimeError):
-            retry_call(function, 1, retries=0, sleep=lambda _: None)
-        assert len(calls) == 1
+        code = ("import json; from repro.core.faults import backoff_delay;"
+                " print(json.dumps([backoff_delay(i) for i in range(4)]))")
+        env = dict(os.environ, PYTHONHASHSEED="12345",
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert json.loads(out.stdout) \
+            == [backoff_delay(i) for i in range(4)]
 
 
 class TestTimeoutKnob:
@@ -181,15 +137,3 @@ class TestRetriesKnob:
             assert detect_retries() == faults.DEFAULT_RETRIES
         record, = log.events_named(caplog.records, "knob.ignored")
         assert record.repro_fields["knob"] == RETRIES_ENV
-
-    def test_run_context_exposes_both_knobs(self, monkeypatch):
-        from repro.core.context import RunContext
-
-        monkeypatch.setenv(TIMEOUT_ENV, "11")
-        monkeypatch.setenv(RETRIES_ENV, "4")
-        ctx = RunContext()
-        assert ctx.resolve_task_timeout() == 11.0
-        assert ctx.resolve_retries() == 4
-        explicit = RunContext(task_timeout=1.5, retries=0)
-        assert explicit.resolve_task_timeout() == 1.5
-        assert explicit.resolve_retries() == 0

@@ -1,9 +1,7 @@
-"""The pool executor: dispatch, persistence, guards, fallback.
+"""The pool executor: dispatch, persistence, worker resolution,
+fallback.
 
-Both public wrappers — ``map_chunks`` (scope ``frame_pool``) and
-``run_variants`` (scope ``run_variants``) — run the same loop; drills
-that apply to either are parametrized over the scope.  The
-byte-identity of *real* sharded work is pinned elsewhere: source-view
+The byte-identity of *real* sharded work is pinned elsewhere: source-view
 renders in ``tests/models/test_render_sharded.py`` and
 ``tests/models/test_render_faults.py``, serve dispatches in
 ``tests/core/test_serve.py``.  This suite covers the pool machinery
@@ -17,7 +15,6 @@ import pytest
 
 from repro.core import faults, frame_pool, log
 from repro.core.faults import FaultPlan, FaultSpec, injected_faults
-from repro.core.frame_pool import POOL_WORKER_ENV, in_pool_worker
 
 
 # Module-level so process pools can pickle them.
@@ -38,30 +35,32 @@ def _chunk_oserror(payload, value):
     raise FileNotFoundError("missing chunk input")
 
 
-def _worker_flag(payload):
-    return in_pool_worker()
+def _slow_identity(payload, value, delay):
+    import time
+
+    time.sleep(delay)
+    return value
 
 
-def _flag_unit():
-    return in_pool_worker()
+def _touch_or_fail(payload, value):
+    # Append one line per execution of a healthy chunk; the chunk with
+    # value < 0 fails with its own OSError.
+    marker, = payload
+    if value < 0:
+        raise FileNotFoundError("missing chunk input")
+    with open(marker, "a") as handle:
+        handle.write(f"{value}\n")
+    return value
 
 
-def _scaled_unit(scale, value):
-    return scale * value
+def _raise_timeout(payload, value):
+    raise TimeoutError("the chunk's own timeout")
 
 
-SCOPES = ("frame_pool", "run_variants")
-
-
-def _run_scaled(scope, scale, values, **kwargs):
-    """``scale * value`` per task through the wrapper named by scope."""
-    if scope == "frame_pool":
-        return frame_pool.map_chunks(_scaled, (scale,),
-                                     [(value,) for value in values],
-                                     **kwargs)
-    return frame_pool.run_variants(
-        [(_scaled_unit, {"scale": scale, "value": value})
-         for value in values], **kwargs)
+def _run_scaled(scale, values, **kwargs):
+    """``scale * value`` per task through :func:`map_chunks`."""
+    return frame_pool.map_chunks(_scaled, (scale,),
+                                 [(value,) for value in values], **kwargs)
 
 
 @pytest.fixture(autouse=True)
@@ -122,26 +121,67 @@ class TestMapChunks:
             frame_pool.map_chunks(_chunk_oserror, (0,), [(1,), (2,)],
                                   workers=2)
 
-    @pytest.mark.parametrize("scope", SCOPES)
+    def test_result_order_is_task_order_not_completion_order(self):
+        # The first chunk finishes last; results must still come back in
+        # submission order.
+        tasks = [(0, 0.4), (1, 0.0), (2, 0.0)]
+        assert frame_pool.map_chunks(_slow_identity, (), tasks,
+                                     workers=3) == [0, 1, 2]
+
+    def test_chunk_oserror_never_reruns_healthy_chunks(self, tmp_path):
+        # The sequential fallback must not fire for a chunk's own
+        # OSError: it would re-run every chunk that already finished.
+        # The failing chunk is last, so both healthy results are
+        # collected before its error surfaces.
+        marker = str(tmp_path / "ran")
+        with pytest.raises(FileNotFoundError, match="missing chunk"):
+            frame_pool.map_chunks(_touch_or_fail, (marker,),
+                                  [(1,), (2,), (-1,)], workers=3)
+        with open(marker) as handle:
+            assert sorted(handle.read().split()) == ["1", "2"]
+
+    def test_chunk_timeout_error_propagates_not_retried(self, caplog):
+        # A TimeoutError raised *by the chunk* is not a hung worker: it
+        # propagates at once, with no task_timeout retry.
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            with pytest.raises(TimeoutError, match="own timeout"):
+                frame_pool.map_chunks(_raise_timeout, (), [(1,), (2,)],
+                                      workers=2, timeout=5.0)
+        assert not log.events_named(caplog.records,
+                                    "frame_pool.task_timeout")
+
     def test_pool_spawn_failure_falls_back_sequentially(self, monkeypatch,
-                                                        caplog, scope):
+                                                        caplog):
         def broken_pool(payload, workers):
             raise OSError("no process spawning here")
 
         monkeypatch.setattr(frame_pool, "get_pool", broken_pool)
         with caplog.at_level(logging.WARNING, logger="repro"):
-            results = _run_scaled(scope, 5, [1, 2, 3], workers=3)
+            results = _run_scaled(5, [1, 2, 3], workers=3)
         assert results == [5, 10, 15]
         # Satellite requirement: the sequential fallback is reported as
         # a structured event exactly once per degradation.
         degraded = log.events_named(caplog.records,
-                                    f"{scope}.degraded_sequential")
+                                    "frame_pool.degraded_sequential")
         assert len(degraded) == 1
         assert "pool unavailable" in degraded[0].repro_fields["reason"]
 
-    @pytest.mark.parametrize("scope", SCOPES)
+    def test_blocked_process_spawning_falls_back_sequentially(
+            self, monkeypatch):
+        # Worker processes spawn lazily inside ``submit``; a sandbox
+        # that blocks process creation surfaces a PermissionError there
+        # and the executor must fall back to the sequential path instead
+        # of crashing the caller.
+        def blocked_submit(self, fn, *args, **kwargs):
+            raise PermissionError("process spawning blocked")
+
+        monkeypatch.setattr(
+            concurrent.futures.ProcessPoolExecutor, "submit",
+            blocked_submit)
+        assert _run_scaled(1, [0, 1, 2], workers=2) == [0, 1, 2]
+
     def test_broken_pool_falls_back_sequentially(self, monkeypatch,
-                                                 caplog, scope):
+                                                 caplog):
         class BrokenExecutor:
             def submit(self, *args, **kwargs):
                 raise concurrent.futures.process.BrokenProcessPool(
@@ -150,14 +190,14 @@ class TestMapChunks:
         monkeypatch.setattr(frame_pool, "get_pool",
                             lambda payload, workers: BrokenExecutor())
         with caplog.at_level(logging.WARNING, logger="repro"):
-            results = _run_scaled(scope, 7, [1, 2], workers=2)
+            results = _run_scaled(7, [1, 2], workers=2)
         assert results == [7, 14]
         # Break -> rebuild once -> break again -> degrade: one rebuild
         # attempt, then exactly one degradation event.
-        broken = log.events_named(caplog.records, f"{scope}.pool_broken")
+        broken = log.events_named(caplog.records, "frame_pool.pool_broken")
         assert len(broken) == 2
         degraded = log.events_named(caplog.records,
-                                    f"{scope}.degraded_sequential")
+                                    "frame_pool.degraded_sequential")
         assert len(degraded) == 1
         assert degraded[0].repro_fields["reason"] == "pool broke twice"
 
@@ -197,11 +237,7 @@ class TestPoolPersistence:
         frame_pool.shutdown_pool()
 
 
-class TestNestedPoolGuard:
-    def test_resolve_workers_inside_pool_worker_is_one(self, monkeypatch):
-        monkeypatch.setenv(POOL_WORKER_ENV, "1")
-        assert frame_pool.resolve_workers(100, workers=8) == 1
-
+class TestResolveWorkers:
     # (REPRO_WORKERS, num_tasks, workers argument, expected width, the
     # knob a knob.ignored warning names or None) on a 4-CPU host.
     @pytest.mark.parametrize("env, tasks, workers, expected, ignored", [
@@ -224,10 +260,8 @@ class TestNestedPoolGuard:
         (None, 10, -2, 1, None),
         (None, 10, "5", 5, None),                # str int ok
     ])
-    def test_resolve_workers_outside_pool_worker(self, monkeypatch, caplog,
-                                                 env, tasks, workers,
-                                                 expected, ignored):
-        monkeypatch.delenv(POOL_WORKER_ENV, raising=False)
+    def test_resolve_workers(self, monkeypatch, caplog, env, tasks,
+                             workers, expected, ignored):
         monkeypatch.setattr(frame_pool.os, "cpu_count", lambda: 4)
         if env is None:
             monkeypatch.delenv("REPRO_WORKERS", raising=False)
@@ -238,35 +272,6 @@ class TestNestedPoolGuard:
         knobs = [record.repro_fields["knob"] for record in
                  log.events_named(caplog.records, "knob.ignored")]
         assert knobs == ([ignored] if ignored else [])
-
-    def test_frame_pool_workers_are_marked(self):
-        flags = frame_pool.map_chunks(_worker_flag, (0,), [(), ()],
-                                      workers=2)
-        assert flags == [True, True]
-        assert not in_pool_worker()      # the parent stays unmarked
-
-    def test_run_variants_workers_are_marked(self):
-        flags = frame_pool.run_variants(
-            [(_flag_unit, {}), (_flag_unit, {})], workers=2)
-        assert flags == [True, True]
-        assert not in_pool_worker()
-        assert frame_pool._POOL is None      # workers never outlive it
-
-    def test_run_variants_inside_pool_worker_stays_in_process(
-            self, monkeypatch):
-        def bomb(*args, **kwargs):
-            raise AssertionError("ProcessPoolExecutor constructed inside "
-                                 "a pool worker")
-
-        monkeypatch.setenv(POOL_WORKER_ENV, "1")
-        monkeypatch.setattr(frame_pool.concurrent.futures,
-                            "ProcessPoolExecutor", bomb)
-        assert frame_pool.run_variants(
-            [(_flag_unit, {}), (_flag_unit, {})], workers=2) == [True, True]
-
-
-def _unit_triple(value=0):
-    return value * 3
 
 
 class TestMapChunksFaultInjection:
@@ -282,7 +287,7 @@ class TestMapChunksFaultInjection:
             workers=workers, timeout=timeout, retries=retries)
 
     def test_worker_crash_rebuilds_pool_and_retries(self, caplog):
-        plan = FaultPlan(tasks={1: FaultSpec("crash")}, scope="frame_pool")
+        plan = FaultPlan(tasks={1: FaultSpec("crash")})
         with caplog.at_level(logging.INFO, logger="repro"):
             with injected_faults(plan):
                 assert self._run() == self.EXPECTED
@@ -295,8 +300,7 @@ class TestMapChunksFaultInjection:
     def test_persistent_crashes_degrade_once_then_finish_in_process(
             self, caplog):
         plan = FaultPlan(tasks={0: FaultSpec("crash",
-                                             attempts=tuple(range(8)))},
-                         scope="frame_pool")
+                                             attempts=tuple(range(8)))})
         with caplog.at_level(logging.WARNING, logger="repro"):
             with injected_faults(plan):
                 assert self._run(retries=3) == self.EXPECTED
@@ -306,8 +310,7 @@ class TestMapChunksFaultInjection:
         assert degraded[0].repro_fields["reason"] == "pool broke twice"
 
     def test_hung_worker_times_out_and_retries(self, caplog):
-        plan = FaultPlan(tasks={2: FaultSpec("hang", hang_s=5.0)},
-                         scope="frame_pool")
+        plan = FaultPlan(tasks={2: FaultSpec("hang", hang_s=5.0)})
         with caplog.at_level(logging.WARNING, logger="repro"):
             with injected_faults(plan):
                 assert self._run(timeout=0.25) == self.EXPECTED
@@ -316,8 +319,7 @@ class TestMapChunksFaultInjection:
         assert [r.repro_fields["task"] for r in timeouts] == [2]
 
     def test_corrupt_result_is_retried_not_returned(self, caplog):
-        plan = FaultPlan(tasks={3: FaultSpec("corrupt")},
-                         scope="frame_pool")
+        plan = FaultPlan(tasks={3: FaultSpec("corrupt")})
         with caplog.at_level(logging.WARNING, logger="repro"):
             with injected_faults(plan):
                 results = self._run()
@@ -328,92 +330,33 @@ class TestMapChunksFaultInjection:
                                    "frame_pool.task_corrupt")
         assert [r.repro_fields["task"] for r in corrupt] == [3]
 
-    @pytest.mark.parametrize("scope", SCOPES)
-    def test_scope_mismatch_injects_nothing(self, scope):
-        other, = set(SCOPES) - {scope}
-        plan = FaultPlan(tasks={0: FaultSpec("crash",
-                                             attempts=tuple(range(8)))},
-                         scope=other)
-        with injected_faults(plan):
-            assert _run_scaled(scope, 5, range(4),
-                               workers=2) == self.EXPECTED
+    def test_timeout_env_knob_governs_hung_worker(self, monkeypatch,
+                                                  caplog):
+        monkeypatch.setenv(faults.TIMEOUT_ENV, "0.25")
+        plan = FaultPlan(tasks={1: FaultSpec("hang", hang_s=5.0)})
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            with injected_faults(plan):
+                assert self._run() == self.EXPECTED
+        timeouts = log.events_named(caplog.records,
+                                    "frame_pool.task_timeout")
+        assert [r.repro_fields["task"] for r in timeouts] == [1]
+        assert timeouts[0].repro_fields["timeout_s"] == 0.25
 
-
-class TestRunVariantsFaultInjection:
-    TASKS = [(_unit_triple, {"value": i}) for i in range(4)]
-    EXPECTED = [0, 3, 6, 9]
-
-    def test_worker_crash_rebuilds_pool_and_retries(self, caplog):
-        plan = FaultPlan(tasks={0: FaultSpec("crash")},
-                         scope="run_variants")
+    @pytest.mark.parametrize("retries", ["0", "1", "2"])
+    def test_retries_env_knob_bounds_pooled_attempts(
+            self, monkeypatch, caplog, retries):
+        # A task corrupt on every pooled attempt is retried
+        # max(retries, 1) times in the pool, then finishes in process.
+        monkeypatch.setenv(faults.RETRIES_ENV, retries)
+        plan = FaultPlan(tasks={2: FaultSpec("corrupt",
+                                             attempts=tuple(range(8)))})
         with caplog.at_level(logging.INFO, logger="repro"):
             with injected_faults(plan):
-                assert frame_pool.run_variants(
-                    self.TASKS, workers=2) == self.EXPECTED
-        assert log.events_named(caplog.records, "run_variants.pool_broken")
-        assert log.events_named(caplog.records,
-                                "run_variants.pool_rebuild")
-        assert not log.events_named(caplog.records,
-                                    "run_variants.degraded_sequential")
-
-    def test_variant_timeout_once_then_succeeds(self, caplog):
-        # Satellite drill: one variant hangs past its timeout on the
-        # first attempt, is retried on a fresh pool, and the run's
-        # results are identical to the no-fault run.
-        plan = FaultPlan(tasks={1: FaultSpec("hang", hang_s=5.0)},
-                         scope="run_variants")
-        with caplog.at_level(logging.WARNING, logger="repro"):
-            with injected_faults(plan):
-                results = frame_pool.run_variants(self.TASKS, workers=2,
-                                                  timeout=0.25)
-        assert results == self.EXPECTED
-        timeouts = log.events_named(caplog.records,
-                                    "run_variants.task_timeout")
-        assert [r.repro_fields["task"] for r in timeouts] == [1]
-
-    def test_persistent_crashes_degrade_once_then_finish_in_process(
-            self, caplog):
-        plan = FaultPlan(tasks={2: FaultSpec("crash",
-                                             attempts=tuple(range(8)))},
-                         scope="run_variants")
-        with caplog.at_level(logging.WARNING, logger="repro"):
-            with injected_faults(plan):
-                assert frame_pool.run_variants(
-                    self.TASKS, workers=2, retries=3) == self.EXPECTED
-        degraded = log.events_named(caplog.records,
-                                    "run_variants.degraded_sequential")
-        assert len(degraded) == 1
-
-    def test_corrupt_unit_result_is_retried(self, caplog):
-        plan = FaultPlan(tasks={3: FaultSpec("corrupt")},
-                         scope="run_variants")
-        with caplog.at_level(logging.WARNING, logger="repro"):
-            with injected_faults(plan):
-                assert frame_pool.run_variants(
-                    self.TASKS, workers=2) == self.EXPECTED
-        assert log.events_named(caplog.records,
-                                "run_variants.task_corrupt")
-
-
-class TestRunVariantsPoolBypass:
-    """Satellite: a sequential resolution must never pay pool spawn cost."""
-
-    def test_workers_one_never_constructs_pool(self, monkeypatch):
-        def bomb(*args, **kwargs):
-            raise AssertionError("ProcessPoolExecutor constructed for a "
-                                 "sequential run")
-
-        monkeypatch.setattr(frame_pool.concurrent.futures,
-                            "ProcessPoolExecutor", bomb)
-        tasks = [(_flag_unit, {}), (_flag_unit, {})]
-        assert frame_pool.run_variants(tasks, workers=1) == [False, False]
-
-    def test_single_task_never_constructs_pool(self, monkeypatch):
-        def bomb(*args, **kwargs):
-            raise AssertionError("ProcessPoolExecutor constructed for a "
-                                 "single task")
-
-        monkeypatch.setattr(frame_pool.concurrent.futures,
-                            "ProcessPoolExecutor", bomb)
-        assert frame_pool.run_variants([(_flag_unit, {})],
-                                       workers=8) == [False]
+                assert self._run() == self.EXPECTED
+        corrupt = log.events_named(caplog.records,
+                                   "frame_pool.task_corrupt")
+        assert [r.repro_fields["attempt"] for r in corrupt] \
+            == list(range(max(int(retries), 1)))
+        inprocess = log.events_named(caplog.records,
+                                     "frame_pool.task_inprocess")
+        assert [r.repro_fields["task"] for r in inprocess] == [2]

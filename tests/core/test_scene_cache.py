@@ -67,13 +67,24 @@ class TestKnob:
 
     def test_run_context_off_value_disables(self, monkeypatch, tmp_path,
                                             fresh_memos):
+        # The production path: an experiment's prepare hook resolves
+        # the cache from the knob that Experiment.run exports.
         from repro.core.context import RunContext
+        from repro.core.registry import Experiment
 
+        prepares = Experiment(
+            name="_cache_probe", title="probe", kind="table",
+            artefact="unused", description="prepares one tiny scene",
+            params={},
+            prepare=lambda ctx, params: llff_scene_data(
+                names=("fortress",), **TINY),
+            units=lambda ctx, params, shared: [],
+            reduce=lambda results, params: results,
+            render=lambda rows, params: "")
         monkeypatch.setenv(ENV_KNOB, str(tmp_path))
-        ctx = RunContext(cache_dir="off")
-        assert ctx.scene_cache() is None
-        ctx.scene_data(names=("fortress",), **TINY)
+        prepares.run(RunContext(cache_dir="off"))
         assert os.listdir(tmp_path) == []
+        assert ctx_mod._SCENE_DATA_MEMO      # the scene was prepared
 
 
 class TestStoreLoad:

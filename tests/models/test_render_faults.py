@@ -20,19 +20,17 @@ WORKER_COUNTS = (1, 2, 4)
 
 # (fault plan, worker count, REPRO_TASK_TIMEOUT or None)
 FAULT_DRILLS = [
-    *[pytest.param(FaultPlan(tasks={0: FaultSpec("crash")},
-                             scope="frame_pool"), workers, None,
+    *[pytest.param(FaultPlan(tasks={0: FaultSpec("crash")}), workers, None,
                    id=f"crash-w{workers}") for workers in WORKER_COUNTS],
-    *[pytest.param(FaultPlan(tasks={1: FaultSpec("hang", hang_s=5.0)},
-                             scope="frame_pool"), workers, "0.5",
+    *[pytest.param(FaultPlan(tasks={1: FaultSpec("hang", hang_s=5.0)}),
+                   workers, "0.5",
                    id=f"hang-w{workers}") for workers in WORKER_COUNTS],
-    *[pytest.param(FaultPlan(tasks={0: FaultSpec("corrupt")},
-                             scope="frame_pool"), workers, None,
+    *[pytest.param(FaultPlan(tasks={0: FaultSpec("corrupt")}), workers, None,
                    id=f"corrupt-w{workers}") for workers in WORKER_COUNTS],
     # Every pooled attempt crashes chunk 0: the render finishes on the
     # in-process backstop, still byte-identical.
     *[pytest.param(FaultPlan(tasks={0: FaultSpec(
-        "crash", attempts=tuple(range(8)))}, scope="frame_pool"),
+        "crash", attempts=tuple(range(8)))}),
         workers, None, id=f"persistent-crash-w{workers}")
       for workers in (2, 4)],
 ]
