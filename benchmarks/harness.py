@@ -61,12 +61,12 @@ RESULT_PATH = os.path.join(REPO_ROOT, "BENCH_hotpaths.json")
 REGRESSION_THRESHOLD_PCT = 25.0
 
 # Per-bench timing budgets beyond the uniform default.  Sub-10ms benches
-# on this shared single-core container need more rounds and a larger
-# per-round budget before the median sits reliably above scheduler
-# noise: ``inverse_transform_r4096`` (~8 ms) drifted 30.1% against its
-# committed baseline — past the 25% regression budget — purely from
-# round-to-round jitter.  Applied only to measured runs; ``--smoke``
-# keeps its single quick round.
+# need more rounds and a larger per-round budget before the median sits
+# reliably above scheduler noise: on the shared single-core host where
+# this override was set, ``inverse_transform_r4096`` (~8 ms) drifted
+# 30.1% against its committed baseline — past the 25% regression
+# budget — purely from round-to-round jitter.  Applied only to measured
+# runs; ``--smoke`` keeps its single quick round.
 TIMING_OVERRIDES: Dict[str, Dict[str, float]] = {
     "inverse_transform_r4096": {"rounds": 9, "min_total_s": 0.9},
 }
@@ -80,9 +80,10 @@ def _time(func: Callable[[], object], rounds: int = 5,
     for sub-millisecond paths.  One full *warmup round* runs first and
     is discarded (allocator, caches, lazy imports, CPU frequency
     settling), then the **median** of the measured rounds is reported.
-    The previous best-of-rounds policy tracked the noise floor: on a
-    shared single-core container, run-to-run drift of the floor showed
-    up as spurious ±5–13 % `regression_pct` swings that ate most of
+    The previous best-of-rounds policy tracked the noise floor: on the
+    shared single-core host where this policy was chosen, run-to-run
+    drift of the floor showed up as spurious ±5–13 % `regression_pct`
+    swings that ate most of
     the 25 % regression budget.  The median is stable against both
     one-off stalls and lucky fast rounds (pinned in
     ``tests/test_bench_harness.py``).

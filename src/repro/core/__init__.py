@@ -2,9 +2,9 @@
 
 :mod:`repro.core.pipeline` runs paper-scale workloads on device models;
 :mod:`repro.core.registry` holds one declarative :class:`Experiment`
-per paper table/figure (prepare → units → reduce → render) driven by a
+per paper table/figure (compute → render) driven by a
 :class:`repro.core.context.RunContext`; :mod:`repro.core.experiments`
-holds the unit bodies, run in process; :mod:`repro.core.frame_pool`'s
+holds the bodies each ``compute`` calls in process; :mod:`repro.core.frame_pool`'s
 one fault-tolerant pool executor shards source-view renders and serve
 dispatches; :mod:`repro.core.reporting` renders artefact text.
 ``python -m repro`` (:mod:`repro.cli`) lists, runs, sweeps, and

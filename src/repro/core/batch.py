@@ -23,7 +23,9 @@ Design points:
   against the registry (experiment exists, override keys are declared
   parameters, field types are sane) *before any job runs*; malformed
   specs are quarantined up front, so a typo in job 40 surfaces in
-  seconds, not after 39 jobs' worth of compute.
+  seconds, not after 39 jobs' worth of compute.  So is a spec whose
+  artefact stem repeats an earlier job's or is ``batch_summary``: it
+  would overwrite that artefact, or be skipped as already done.
 * **Per-job quarantine.**  A job that fails at runtime lands in
   ``errors/`` — a copy of the spec plus a ``<stem>.report.txt`` with
   the full traceback — and the loop moves on.  Only
@@ -56,7 +58,6 @@ from typing import Dict, List, Optional, Tuple
 from . import faults, log, reporting
 from .context import RunContext
 from .registry import get_experiment
-from .scene_cache import exported_cache_knob
 
 _LOG = log.get_logger("batch")
 
@@ -245,8 +246,11 @@ def run_batch(jobs_dir: str, ctx: Optional[RunContext] = None,
     log.event(_LOG, "batch.start", level=logging.INFO, jobs=len(paths),
               jobs_dir=jobs_dir, out_dir=out_dir)
 
-    # Phase 1 — parse + validate every spec before any compute.
+    # Phase 1 — parse + validate every spec before any compute.  Each
+    # artefact stem belongs to one job: a spec that would write over an
+    # earlier job's artefact, or over the summary, is quarantined here.
     runnable: List[Tuple[JobReport, str, Dict, Dict, str]] = []
+    owners: Dict[str, str] = {SUMMARY_STEM: "the batch summary"}
     for path in paths:
         stem = os.path.splitext(os.path.basename(path))[0]
         report = JobReport(stem=stem, spec_path=path, status="pending")
@@ -256,53 +260,58 @@ def run_batch(jobs_dir: str, ctx: Optional[RunContext] = None,
                 spec = json.load(handle)
             name, overrides, context_fields, artefact = \
                 validate_spec(spec, path)
+            report.experiment = name
+            artefact_stem = artefact or stem
+            if artefact_stem in owners:
+                raise BatchSpecError(
+                    f"artefact stem {artefact_stem!r} is already written "
+                    f"by {owners[artefact_stem]}")
         except (OSError, ValueError) as error:   # json errors are Value
             _quarantine(report, errors_dir, error)
             continue
-        report.experiment = name
+        owners[artefact_stem] = f"job {stem!r}"
         runnable.append((report, name, overrides, context_fields,
-                         artefact or stem))
+                         artefact_stem))
 
     # Phase 2 — run the valid jobs, newest failure quarantined, loop
     # continues.  Artefact-exists jobs are skipped (resume path).
-    with exported_cache_knob(ctx.cache_dir):
-        for index, (report, name, overrides, context_fields,
-                    artefact_stem) in enumerate(runnable):
-            artefact_path = os.path.join(out_dir, f"{artefact_stem}.txt")
-            report.artefact_path = artefact_path
-            if os.path.exists(artefact_path):
-                report.status = "skipped"
-                report.detail = f"{artefact_stem}.txt exists"
-                log.event(_LOG, "batch.job_skipped", level=logging.INFO,
-                          job=report.stem, artefact=artefact_path)
-                continue
-            if plan is not None and plan.job_fault(report.stem):
-                kind = plan.job_fault(report.stem)
-                if kind == "interrupt":
-                    # Simulates the operator killing the run mid-flight
-                    # (resume tests): propagate, never quarantine.
-                    raise KeyboardInterrupt(
-                        f"injected interrupt at job {report.stem}")
-            log.event(_LOG, "batch.job_start", level=logging.INFO,
-                      job=report.stem, experiment=name,
-                      position=f"{index + 1}/{len(runnable)}")
-            try:
-                if plan is not None and \
-                        plan.job_fault(report.stem) == "error":
-                    raise RuntimeError(
-                        f"injected job error at {report.stem}")
-                job_ctx = _job_context(ctx, out_dir, context_fields)
-                result = get_experiment(name).run(job_ctx, **overrides)
-                reporting.write_artifact(artefact_path, result.text + "\n")
-            except (KeyboardInterrupt, SystemExit):
-                raise            # the operator, not the job
-            except BaseException as error:
-                _quarantine(report, errors_dir, error)
-                continue
-            report.status = "completed"
-            report.detail = f"{artefact_stem}.txt"
-            log.event(_LOG, "batch.job_completed", level=logging.INFO,
+    for index, (report, name, overrides, context_fields,
+                artefact_stem) in enumerate(runnable):
+        artefact_path = os.path.join(out_dir, f"{artefact_stem}.txt")
+        report.artefact_path = artefact_path
+        if os.path.exists(artefact_path):
+            report.status = "skipped"
+            report.detail = f"{artefact_stem}.txt exists"
+            log.event(_LOG, "batch.job_skipped", level=logging.INFO,
                       job=report.stem, artefact=artefact_path)
+            continue
+        if plan is not None and plan.job_fault(report.stem):
+            kind = plan.job_fault(report.stem)
+            if kind == "interrupt":
+                # Simulates the operator killing the run mid-flight
+                # (resume tests): propagate, never quarantine.
+                raise KeyboardInterrupt(
+                    f"injected interrupt at job {report.stem}")
+        log.event(_LOG, "batch.job_start", level=logging.INFO,
+                  job=report.stem, experiment=name,
+                  position=f"{index + 1}/{len(runnable)}")
+        try:
+            if plan is not None and \
+                    plan.job_fault(report.stem) == "error":
+                raise RuntimeError(
+                    f"injected job error at {report.stem}")
+            job_ctx = _job_context(ctx, out_dir, context_fields)
+            result = get_experiment(name).run(job_ctx, **overrides)
+            reporting.write_artifact(artefact_path, result.text + "\n")
+        except (KeyboardInterrupt, SystemExit):
+            raise            # the operator, not the job
+        except BaseException as error:
+            _quarantine(report, errors_dir, error)
+            continue
+        report.status = "completed"
+        report.detail = f"{artefact_stem}.txt"
+        log.event(_LOG, "batch.job_completed", level=logging.INFO,
+                  job=report.stem, artefact=artefact_path)
 
     summary.summary_path = os.path.join(out_dir, f"{SUMMARY_STEM}.txt")
     reporting.write_artifact(summary.summary_path, summary.render() + "\n")

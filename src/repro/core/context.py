@@ -58,11 +58,6 @@ _REFERENCE_MEMO: Dict[tuple, np.ndarray] = {}
 
 REFERENCE_POINTS = 192   # dense-reference quadrature of every harness
 
-# "cache unspecified" sentinel for llff_scene_data/llff_references:
-# distinct from None so an explicitly disabled cache (None) is honoured
-# even when the REPRO_CACHE_DIR env knob is set.
-_UNRESOLVED = object()
-
 
 def clear_scene_memos() -> None:
     """Drop the process-wide prepared-scene and reference memos.
@@ -71,7 +66,7 @@ def clear_scene_memos() -> None:
     its rendered ``SceneData`` — including the per-scene GT and
     feature caches — forever) can call this between sweeps to release
     the memory; the next harness run simply re-renders (or reloads
-    from the disk cache when ``REPRO_CACHE_DIR`` is set)."""
+    from the disk cache when one is passed)."""
     _SCENE_DATA_MEMO.clear()
     _REFERENCE_MEMO.clear()
 
@@ -94,19 +89,18 @@ def _reference_key(name: str, base: tuple, eval_step: int) -> str:
 def llff_scene_data(image_scale: float, num_source_views: int = 10,
                     seed: int = 1, gt_points: int = 128,
                     names: Sequence[str] = LLFF_EVAL_SCENES,
-                    cache=_UNRESOLVED,
+                    cache: Optional[SceneCache] = None,
                     workers: Optional[int] = 1) -> Dict[str, "M.SceneData"]:
     """Prepared :class:`repro.models.SceneData` for LLFF analogues,
     memoised per process **per scene**, so a harness that asks for a
     subset (tiny test configs) only ever pays for that subset.
 
-    With a disk cache active (``cache=`` or the ``REPRO_CACHE_DIR``
-    knob) the expensive source-view renders additionally persist across
-    processes, keyed by the crc32 scene recipe; hits are byte-identical
-    to cold preparation, and the cheap deterministic scene objects are
-    rebuilt either way.  ``cache=None`` explicitly disables the disk
-    layer even when the env knob is set; leaving it unspecified
-    resolves the knob.
+    With a disk ``cache`` (a :class:`SceneCache`, e.g. resolved by
+    :meth:`SceneCache.from_env`) the expensive source-view renders
+    additionally persist across processes, keyed by the crc32 scene
+    recipe; hits are byte-identical to cold preparation, and the cheap
+    deterministic scene objects are rebuilt either way.  ``None`` (the
+    default) skips the disk layer.
 
     ``workers`` shards the cold source-view renders over the frame pool
     (``None`` autodetects); sharded renders are byte-identical to
@@ -118,8 +112,6 @@ def llff_scene_data(image_scale: float, num_source_views: int = 10,
     missing = [name for name in names
                if (base + (name,)) not in _SCENE_DATA_MEMO]
     if missing:
-        if cache is _UNRESOLVED:
-            cache = SceneCache.from_env()
         eval_scenes = llff_eval_scenes(image_scale, num_source_views,
                                        seed=seed)
         for name in missing:
@@ -143,29 +135,25 @@ def llff_scene_data(image_scale: float, num_source_views: int = 10,
 
 def llff_references(scene_data: Dict[str, "M.SceneData"], key: tuple,
                     eval_step: int,
-                    cache=_UNRESOLVED) -> Dict[str, np.ndarray]:
+                    cache: Optional[SceneCache] = None
+                    ) -> Dict[str, np.ndarray]:
     """Dense target references for a prepared scene dict, memoised per
-    (configuration, scene, step) — and persisted through the disk cache
-    when one is active.  ``key`` is the scene recipe tuple
-    ``(image_scale, num_source_views, seed, gt_points)``.
-    ``cache=None`` explicitly disables the disk layer; unspecified
-    resolves the ``REPRO_CACHE_DIR`` knob."""
+    (configuration, scene, step) — and persisted through the disk
+    ``cache`` when one is passed.  ``key`` is the scene recipe tuple
+    ``(image_scale, num_source_views, seed, gt_points)``."""
     references: Dict[str, np.ndarray] = {}
-    resolved = cache
     for name, data in scene_data.items():
         memo_key = (key, name, int(eval_step))
         cached = _REFERENCE_MEMO.get(memo_key)
         if cached is None:
-            if resolved is _UNRESOLVED:
-                resolved = SceneCache.from_env()
             disk_key = _reference_key(name, key, eval_step)
-            cached = resolved.load(disk_key) if resolved else None
+            cached = cache.load(disk_key) if cache else None
             if cached is None:
                 cached = M.render_target_reference(
                     data.scene, num_points=REFERENCE_POINTS,
                     step=eval_step)
-                if resolved:
-                    resolved.store(disk_key, cached)
+                if cache:
+                    cache.store(disk_key, cached)
             _REFERENCE_MEMO[memo_key] = cached
         references[name] = cached
     return references
@@ -183,7 +171,8 @@ class RunContext:
       renders and serve dispatches (``None`` = ``REPRO_WORKERS`` env,
       then CPU count); experiment units always run in process;
     * ``cache_dir`` — disk scene-cache directory (``None`` = the
-      ``REPRO_CACHE_DIR`` env knob);
+      ``REPRO_CACHE_DIR`` env knob; an off-value disables the cache),
+      resolved by the experiments that prepare scenes;
     * ``results_dir`` — where :meth:`write_artifact` lands artefacts
       (defaults to the committed ``benchmarks/results``).
     """

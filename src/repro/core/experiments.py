@@ -1,14 +1,14 @@
-"""Experiment unit functions.
+"""Experiment bodies.
 
 This module holds the *bodies* of every paper experiment as
-module-level, argument-pure unit functions — the task list that
-:class:`repro.core.registry.Experiment` objects run in process after
-their shared ``prepare`` hook.  Hardware experiments execute at the
-paper's full resolutions (the simulator does not march rays);
-algorithm experiments take scale knobs so the numpy training stays
-tractable, with defaults chosen to finish in minutes.  The
-orchestration — prepare → units → reduce → render — lives entirely in
-the registry layer: run an experiment with
+module-level, argument-pure functions: a ``*_prepare`` builds the
+shared inputs of a ladder, and each ``*_unit`` computes one variant,
+dataset or sweep point.  The ``compute`` hook of each
+:class:`repro.core.registry.Experiment` calls them in a plain loop.
+Hardware experiments execute at the paper's full resolutions (the
+simulator does not march rays); algorithm experiments take scale knobs
+so the numpy training stays tractable, with defaults chosen to finish
+in minutes.  Run an experiment with
 ``get_experiment(name).run(RunContext(...), **overrides)``.
 """
 
@@ -30,6 +30,7 @@ from ..models.workload import (RenderWorkload, profiling_workload,
 from ..scenes.datasets import DATASETS, Scene, make_scene
 from .context import LLFF_EVAL_SCENES, llff_references, llff_scene_data
 from .pipeline import CoDesignPipeline, dataflow_ablation
+from .scene_cache import SceneCache
 
 PROFILE_DATASETS = ("deepvoxels", "nerf_synthetic", "llff")
 
@@ -236,23 +237,25 @@ TABLE2_VARIANTS = ("vanilla", "no_transformer", "mixer", "gen_nerf")
 
 def _table2_prepare(train_steps: int, eval_step: int, image_scale: float,
                     num_points: int, seed: int, scenes: Sequence[str],
-                    num_source_views: int, workers: Optional[int] = 1):
+                    num_source_views: int, workers: Optional[int] = 1,
+                    cache: Optional[SceneCache] = None):
     """Deterministic shared inputs of every table-2 variant unit.
 
     Scene generation is crc32-seeded and the dense reference render
     depends only on (scene, step).  The scene/reference renders come
     from the process-wide memo
     (:func:`repro.core.context.llff_scene_data`) — optionally backed by
-    the ``REPRO_CACHE_DIR`` disk cache — so Table 3 runs at the same
-    view count and repeated harness invocations pay for them once.
+    the disk ``cache`` — so Table 3 runs at the same view count and
+    repeated harness invocations pay for them once.
     """
     memo_key = (float(image_scale), int(num_source_views), int(seed), 128)
     names = [name for name in LLFF_EVAL_SCENES if name in scenes]
     scene_data = llff_scene_data(image_scale, num_source_views, seed=seed,
-                                 names=names, workers=workers)
+                                 names=names, cache=cache, workers=workers)
     train_cfg = M.TrainConfig(steps=train_steps, rays_per_batch=40,
                               num_points=num_points, seed=seed)
-    references = llff_references(scene_data, memo_key, eval_step)
+    references = llff_references(scene_data, memo_key, eval_step,
+                                 cache=cache)
     return scene_data, train_cfg, references
 
 
@@ -353,7 +356,8 @@ TABLE3_METHODS = ("IBRNet", "Gen-NeRF")
 
 def _table3_prepare(views: int, train_steps: int, eval_step: int,
                     image_scale: float, num_points: int, seed: int,
-                    workers: Optional[int] = 1):
+                    workers: Optional[int] = 1,
+                    cache: Optional[SceneCache] = None):
     """Deterministic shared inputs of a table-3 (view count) pair.
 
     One dense reference per scene for this view count; both methods
@@ -364,10 +368,11 @@ def _table3_prepare(views: int, train_steps: int, eval_step: int,
     num_source_views = max(views, 6)
     memo_key = (float(image_scale), int(num_source_views), int(seed), 128)
     scene_data = llff_scene_data(image_scale, num_source_views, seed=seed,
-                                 workers=workers)
+                                 cache=cache, workers=workers)
     train_cfg = M.TrainConfig(steps=train_steps, rays_per_batch=40,
                               num_points=num_points, seed=seed)
-    references = llff_references(scene_data, memo_key, eval_step)
+    references = llff_references(scene_data, memo_key, eval_step,
+                                 cache=cache)
     return scene_data, train_cfg, references
 
 
@@ -482,8 +487,7 @@ def _table4_unit(seed: int) -> List[Dict[str, object]]:
 # Fig. 12 — dataflow / storage ablation
 # ----------------------------------------------------------------------
 def _fig12_unit(views: int, seed: int) -> Dict[str, Dict[str, float]]:
-    """One view count's {variant: latency/traffic row} — independent
-    per view count, so the registry fans the sweep out."""
+    """One view count's {variant: latency/traffic row}."""
     per_variant = {}
     for name, sim in dataflow_ablation("nerf_synthetic", views,
                                        seed=seed).items():

@@ -1,14 +1,12 @@
 """Declarative experiment registry: one :class:`Experiment` per paper
 table/figure, all driven through one lifecycle.
 
-Every experiment is a registered, declarative object with four hooks —
+Every experiment is a registered, declarative object with two hooks —
 
-* ``prepare(ctx, params)``  -> state shared by every unit (prepared
-  scenes, references, supervision caches), computed once per run;
-* ``units(ctx, params, shared)`` -> a ``(function, kwargs)`` task
-  list, run in process in order;
-* ``reduce(results, params)``    -> the experiment's row structure;
-* ``render(rows, params)``       -> the committed artefact text under
+* ``compute(ctx, params)`` -> the experiment's row structure: a plain
+  in-process loop over the bodies in :mod:`repro.core.experiments`
+  (a ladder prepares its scenes once, then runs every variant);
+* ``render(rows, params)`` -> the committed artefact text under
   ``benchmarks/results/`` — byte-identical to the historical
   harness output.
 
@@ -32,10 +30,8 @@ from .context import LLFF_EVAL_SCENES, RunContext
 from .figures import ascii_line_chart, stacked_latency_chart
 from .pipeline import CoDesignPipeline
 from .reporting import format_table, ratio_note
-from .scene_cache import exported_cache_knob
+from .scene_cache import SceneCache
 from . import serve as S
-
-Task = Tuple[Callable, Dict[str, Any]]
 
 # Paper reference values quoted inside the committed artefacts.
 PAPER_TABLE2_MFLOPS = {"vanilla IBRNet": 13.94, "- ray transformer": 13.25,
@@ -58,7 +54,7 @@ PAPER_MIN_SPEEDUP = 208.8            # Fig. 11: ">= 208.8x" everywhere
 # ----------------------------------------------------------------------
 @dataclass
 class ExperimentResult:
-    """One registry run: the reduced rows plus the rendered artefact."""
+    """One registry run: the computed rows plus the rendered artefact."""
 
     name: str
     params: Dict[str, Any]
@@ -84,10 +80,8 @@ class Experiment:
     artefact: str           # stem under benchmarks/results/
     description: str
     params: Mapping[str, Any]
-    units: Callable[[RunContext, Dict[str, Any], Any], List[Task]]
-    reduce: Callable[[List[Any], Dict[str, Any]], Any]
+    compute: Callable[[RunContext, Dict[str, Any]], Any]
     render: Callable[[Any, Dict[str, Any]], str]
-    prepare: Optional[Callable[[RunContext, Dict[str, Any]], Any]] = None
     scale_rules: Mapping[str, Any] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
@@ -116,22 +110,16 @@ class Experiment:
     # ------------------------------------------------------------------
     def run(self, ctx: Optional[RunContext] = None,
             **overrides) -> ExperimentResult:
-        """prepare -> units -> reduce -> render, all in this process.
+        """bind -> compute -> render, all in this process.
 
-        The ``prepare`` hook runs once and its state is handed to every
-        unit, so a ladder of variants shares one set of prepared scenes
-        and their supervision caches.  ``ctx.workers`` reaches the hooks
-        that shard their own work (source-view renders, serve
-        dispatches).  An explicit ``ctx.cache_dir`` is exported through
-        the ``REPRO_CACHE_DIR`` knob for the duration of the run.
+        ``compute`` reads ``ctx.workers`` (the width of the source-view
+        renders and serve dispatches it shards) and ``ctx.cache_dir``
+        (resolved with :meth:`SceneCache.from_env` and passed down as an
+        argument) from the context itself.
         """
         ctx = ctx or RunContext()
         params = self.bind(ctx, overrides)
-        with exported_cache_knob(ctx.cache_dir):
-            shared = self.prepare(ctx, params) if self.prepare else None
-            tasks = self.units(ctx, params, shared)
-            results = [function(**kwargs) for function, kwargs in tasks]
-        rows = self.reduce(results, params)
+        rows = self.compute(ctx, params)
         text = self.render(rows, params)
         return ExperimentResult(name=self.name, params=params, rows=rows,
                                 text=text)
@@ -175,20 +163,6 @@ def all_experiments() -> List[Experiment]:
     return list(_REGISTRY.values())
 
 
-def _single_unit(function: Callable, *param_names: str
-                 ) -> Callable[[RunContext, Dict[str, Any], Any],
-                               List[Task]]:
-    """Units hook for one-body experiments: a single task carrying the
-    named parameters."""
-    def units(ctx, params, shared):
-        return [(function, {name: params[name] for name in param_names})]
-
-    return units
-
-
-def _first(results, params):
-    return results[0]
-
 
 # ----------------------------------------------------------------------
 # Table 1 — area / power
@@ -205,8 +179,7 @@ register(Experiment(
     description="Per-module area/power of the accelerator vs the "
                 "paper's 28 nm @ 1 GHz budget.",
     params={},
-    units=_single_unit(E._table1_unit),
-    reduce=_first, render=_render_table1))
+    compute=lambda ctx, params: E._table1_unit(), render=_render_table1))
 
 
 # ----------------------------------------------------------------------
@@ -240,25 +213,17 @@ register(Experiment(
     description="Latency phases of the vanilla profiling workload on "
                 "an RTX 2080Ti and a Jetson TX2.",
     params={},
-    units=_single_unit(E._fig2_unit),
-    reduce=_first, render=_render_fig2))
+    compute=lambda ctx, params: E._fig2_unit(), render=_render_fig2))
 
 
 # ----------------------------------------------------------------------
 # Fig. 9 — PSNR vs sampled points / MFLOPs
 # ----------------------------------------------------------------------
-def _fig9_units(ctx, params, shared) -> List[Task]:
-    unit = dict(seed=params["seed"], step=params["step"],
-                reference_points=params["reference_points"],
-                pairs=tuple(tuple(pair) for pair in params["pairs"]),
-                uniform_points=tuple(params["uniform_points"]),
-                image_scale=params["image_scale"])
-    return [(E._fig9_unit, dict(dataset=dataset, **unit))
-            for dataset in params["datasets"]]
-
-
-def _reduce_fig9(results, params):
-    return dict(zip(params["datasets"], results))
+def _fig9_compute(ctx, params):
+    settings = dict(params)
+    datasets = settings.pop("datasets")
+    return {dataset: E._fig9_unit(dataset=dataset, **settings)
+            for dataset in datasets}
 
 
 def _render_fig9(results, params) -> str:
@@ -290,25 +255,20 @@ register(Experiment(
     params=dict(datasets=E.PROFILE_DATASETS, seed=3, step=4,
                 reference_points=384, pairs=E.FIG9_PAIRS,
                 uniform_points=E.FIG9_UNIFORM_POINTS, image_scale=1 / 8),
-    units=_fig9_units, reduce=_reduce_fig9, render=_render_fig9,
+    compute=_fig9_compute, render=_render_fig9,
     scale_rules={"reference_points": 64}))
 
 
 # ----------------------------------------------------------------------
 # Table 2 — component ablation
 # ----------------------------------------------------------------------
-def _table2_prepare_hook(ctx, params):
-    # The scene source-view renders shard over the frame pool.
-    return E._table2_prepare(**params, workers=ctx.workers)
-
-
-def _table2_units(ctx, params, shared) -> List[Task]:
-    return [(E._table2_unit, dict(kind=kind, prep=shared, **params))
-            for kind in E.TABLE2_VARIANTS]
-
-
-def _reduce_table2(results, params):
-    return [row for unit_rows in results for row in unit_rows]
+def _table2_compute(ctx, params):
+    # Prepare the scenes once (their source-view renders shard over the
+    # frame pool), then train the four variants on them in order.
+    prep = E._table2_prepare(**params, workers=ctx.workers,
+                             cache=SceneCache.from_env(ctx.cache_dir))
+    return [row for kind in E.TABLE2_VARIANTS
+            for row in E._table2_unit(kind=kind, prep=prep, **params)]
 
 
 def _table2_cells(rows, scenes,
@@ -345,40 +305,27 @@ register(Experiment(
     params=dict(train_steps=300, eval_step=6, image_scale=1 / 10,
                 num_points=20, seed=1, scenes=LLFF_EVAL_SCENES,
                 num_source_views=10),
-    prepare=_table2_prepare_hook, units=_table2_units,
-    reduce=_reduce_table2, render=_render_table2,
+    compute=_table2_compute, render=_render_table2,
     scale_rules={"train_steps": 6}))
 
 
 # ----------------------------------------------------------------------
 # Table 3 — per-scene finetuning
 # ----------------------------------------------------------------------
-_TABLE3_UNIT_KEYS = ("train_steps", "finetune_steps", "eval_step",
-                     "image_scale", "num_points", "seed")
-
-
-def _table3_prepare_hook(ctx, params):
-    prep_keys = ("train_steps", "eval_step", "image_scale", "num_points",
-                 "seed")
-    prep_params = {key: params[key] for key in prep_keys}
-    return {views: E._table3_prepare(views=views, workers=ctx.workers,
-                                     **prep_params)
-            for views in params["view_counts"]}
-
-
-def _table3_units(ctx, params, shared) -> List[Task]:
-    unit_params = {key: params[key] for key in _TABLE3_UNIT_KEYS}
-    tasks: List[Task] = []
-    for views in params["view_counts"]:
-        for method in E.TABLE3_METHODS:
-            tasks.append((E._table3_unit,
-                          dict(method=method, views=views,
-                               prep=shared[views], **unit_params)))
-    return tasks
-
-
-def _reduce_table3(results, params):
-    return list(results)
+def _table3_compute(ctx, params):
+    # Prepare every view count's scenes first, then pretrain, finetune
+    # and evaluate both methods per view count.
+    settings = dict(params)
+    view_counts = settings.pop("view_counts")
+    finetune_steps = settings.pop("finetune_steps")
+    cache = SceneCache.from_env(ctx.cache_dir)
+    preps = {views: E._table3_prepare(views=views, workers=ctx.workers,
+                                      cache=cache, **settings)
+             for views in view_counts}
+    return [E._table3_unit(method=method, views=views,
+                           finetune_steps=finetune_steps,
+                           prep=preps[views], **settings)
+            for views in view_counts for method in E.TABLE3_METHODS]
 
 
 def _render_table3(rows, params) -> str:
@@ -396,8 +343,7 @@ register(Experiment(
     params=dict(train_steps=260, finetune_steps=60, eval_step=6,
                 image_scale=1 / 10, num_points=20, seed=1,
                 view_counts=(4, 10)),
-    prepare=_table3_prepare_hook, units=_table3_units,
-    reduce=_reduce_table3, render=_render_table3,
+    compute=_table3_compute, render=_render_table3,
     scale_rules={"train_steps": 5, "finetune_steps": 3}))
 
 
@@ -428,27 +374,19 @@ register(Experiment(
     description="Gen-NeRF accelerator FPS vs RTX 2080Ti and Jetson TX2 "
                 "on the three datasets.",
     params={"seed": 0},
-    units=_single_unit(E._fig10_unit, "seed"),
-    reduce=_first, render=_render_fig10))
+    compute=lambda ctx, params: E._fig10_unit(params["seed"]),
+    render=_render_fig10))
 
 
 # ----------------------------------------------------------------------
 # Fig. 11 — scalability sweeps
 # ----------------------------------------------------------------------
-def _fig11_units(ctx, params, shared) -> List[Task]:
+def _fig11_compute(ctx, params):
     seed = params["seed"]
-    tasks = [(E._fig11_unit, dict(axis="views", value=int(views),
-                                  seed=seed))
-             for views in params["view_counts"]]
-    tasks += [(E._fig11_unit, dict(axis="points", value=int(points),
-                                   seed=seed))
-              for points in params["point_counts"]]
-    return tasks
-
-
-def _reduce_fig11(results, params):
-    split = len(params["view_counts"])
-    return {"views": results[:split], "points": results[split:]}
+    return {"views": [E._fig11_unit("views", int(views), seed)
+                      for views in params["view_counts"]],
+            "points": [E._fig11_unit("points", int(points), seed)
+                       for points in params["point_counts"]]}
 
 
 def _render_fig11(results, params) -> str:
@@ -483,7 +421,7 @@ register(Experiment(
                 "points on NeRF-Synthetic 800x800.",
     params=dict(view_counts=(10, 6, 4, 2, 1),
                 point_counts=(128, 112, 96, 80, 64), seed=0),
-    units=_fig11_units, reduce=_reduce_fig11, render=_render_fig11))
+    compute=_fig11_compute, render=_render_fig11))
 
 
 # ----------------------------------------------------------------------
@@ -512,20 +450,16 @@ register(Experiment(
     description="Device spec sheet: our simulated Gen-NeRF row next to "
                 "the paper's reported devices.",
     params={"seed": 0},
-    units=_single_unit(E._table4_unit, "seed"),
-    reduce=_first, render=_render_table4))
+    compute=lambda ctx, params: E._table4_unit(params["seed"]),
+    render=_render_table4))
 
 
 # ----------------------------------------------------------------------
 # Fig. 12 — dataflow / storage ablation
 # ----------------------------------------------------------------------
-def _fig12_units(ctx, params, shared) -> List[Task]:
-    return [(E._fig12_unit, dict(views=views, seed=params["seed"]))
-            for views in params["view_counts"]]
-
-
-def _reduce_fig12(results, params):
-    return dict(zip(params["view_counts"], results))
+def _fig12_compute(ctx, params):
+    return {views: E._fig12_unit(views, params["seed"])
+            for views in params["view_counts"]}
 
 
 def _render_fig12(results, params) -> str:
@@ -557,7 +491,7 @@ register(Experiment(
     description="Latency/utilisation of ours vs Var-1/2/3 dataflow and "
                 "storage variants at {10, 6, 2} views.",
     params=dict(view_counts=(10, 6, 2), seed=0),
-    units=_fig12_units, reduce=_reduce_fig12, render=_render_fig12))
+    compute=_fig12_compute, render=_render_fig12))
 
 
 # ----------------------------------------------------------------------
@@ -579,9 +513,8 @@ register(Experiment(
     params=dict(dataset="nerf_synthetic", seed=3, step=8,
                 image_scale=1 / 8, coarse_counts=(4, 8, 16, 32),
                 taus=(1e-4, 1e-3, 1e-2), focused=32),
-    units=_single_unit(E._coarse_budget_unit, "dataset", "seed", "step",
-                       "image_scale", "coarse_counts", "taus", "focused"),
-    reduce=_first, render=_render_coarse_budget))
+    compute=lambda ctx, params: E._coarse_budget_unit(**params),
+    render=_render_coarse_budget))
 
 
 def _render_patch_candidates(rows, params) -> str:
@@ -598,25 +531,18 @@ register(Experiment(
     description="Prefetch traffic and FPS vs the scheduler's "
                 "candidate-shape menu size M.",
     params={"seed": 0},
-    units=_single_unit(E._patch_candidate_unit, "seed"),
-    reduce=_first, render=_render_patch_candidates))
+    compute=lambda ctx, params: E._patch_candidate_unit(params["seed"]),
+    render=_render_patch_candidates))
 
 
 # ----------------------------------------------------------------------
 # occupancy_profile — per-ray valid-sample occupancy by scene family
 # ----------------------------------------------------------------------
-_OCCUPANCY_BASE_KEYS = ("seeds", "step", "image_scale", "coarse_points",
-                        "focused", "n_max", "tau")
-
-
-def _occupancy_units(ctx, params, shared) -> List[Task]:
-    base = {key: params[key] for key in _OCCUPANCY_BASE_KEYS}
-    return [(E._occupancy_profile_unit, dict(family=family, **base))
-            for family in params["families"]]
-
-
-def _reduce_rows_list(results, params):
-    return list(results)
+def _occupancy_compute(ctx, params):
+    settings = dict(params)
+    families = settings.pop("families")
+    return [E._occupancy_profile_unit(family=family, **settings)
+            for family in families]
 
 
 def _render_occupancy(rows, params) -> str:
@@ -650,28 +576,16 @@ def _render_occupancy(rows, params) -> str:
 # ----------------------------------------------------------------------
 # serve_replay — deterministic traffic replay through the render daemon
 # ----------------------------------------------------------------------
-_SERVE_REPLAY_BASE_KEYS = (
-    "requests_per_client", "seed", "batch_window", "max_batch",
-    "queue_limit", "scene_capacity", "scenes", "qualities", "image_scale",
-    "views", "step", "source_points", "mean_gap")
-
-
-def _serve_replay_units(ctx, params, shared) -> List[Task]:
-    base = {key: params[key] for key in _SERVE_REPLAY_BASE_KEYS}
-    base["workers"] = ctx.workers
-    tasks = [(S._serve_replay_unit, dict(level=int(level), burst=False,
-                                         **base))
-             for level in params["levels"]]
+def _serve_replay_compute(ctx, params):
+    settings = dict(params)
     # One burst row past the high-water mark proves deterministic
     # shedding in the committed artefact.
-    tasks.append((S._serve_replay_unit,
-                  dict(level=int(params["burst_clients"]), burst=True,
-                       **base)))
-    return tasks
-
-
-def _reduce_serve_replay(results, params):
-    return list(results)
+    runs = [(int(level), False) for level in settings.pop("levels")]
+    runs.append((int(settings.pop("burst_clients")), True))
+    return [S._serve_replay_unit(level=level, burst=burst,
+                                 workers=ctx.workers,
+                                 cache_dir=ctx.cache_dir, **settings)
+            for level, burst in runs]
 
 
 register(Experiment(
@@ -686,8 +600,7 @@ register(Experiment(
                 qualities=("draft", "standard", "high", "gen_nerf"),
                 image_scale=1 / 16, views=4, step=8, source_points=32,
                 mean_gap=3, burst_clients=24),
-    units=_serve_replay_units, reduce=_reduce_serve_replay,
-    render=S.render_serve_replay,
+    compute=_serve_replay_compute, render=S.render_serve_replay,
     scale_rules={"requests_per_client": 1, "burst_clients": 4}))
 
 
@@ -702,8 +615,7 @@ register(Experiment(
     params=dict(families=E.OCCUPANCY_FAMILIES, seeds=(1, 2, 3), step=4,
                 image_scale=1 / 8, coarse_points=64, focused=8, n_max=32,
                 tau=1e-3),
-    units=_occupancy_units, reduce=_reduce_rows_list,
-    render=_render_occupancy))
+    compute=_occupancy_compute, render=_render_occupancy))
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import os
 import zlib
-from contextlib import contextmanager
 from typing import Optional
 
 import numpy as np
@@ -39,30 +38,6 @@ _LOG = log.get_logger("scene_cache")
 
 ENV_KNOB = "REPRO_CACHE_DIR"
 _OFF_VALUES = {"", "0", "off", "none", "disabled"}
-
-
-@contextmanager
-def exported_cache_knob(cache_dir: Optional[str]):
-    """Export an explicit cache directory through the env knob for the
-    duration of a run, restoring the previous value afterwards.
-
-    This is how a :class:`repro.core.context.RunContext.cache_dir` (or
-    the CLI's ``--cache-dir``) reaches every prepare hook and unit of
-    an experiment run.  ``None`` (unspecified) leaves the environment
-    alone; off-values pass through and disable the cache as usual.
-    """
-    if cache_dir is None:
-        yield
-        return
-    previous = os.environ.get(ENV_KNOB)
-    os.environ[ENV_KNOB] = cache_dir
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(ENV_KNOB, None)
-        else:
-            os.environ[ENV_KNOB] = previous
 
 
 def source_images_key(name: str, image_scale: float,

@@ -85,8 +85,6 @@ DEFAULT_BATCH_WINDOW = 4      # ticks a request may wait for batch-mates
 DEFAULT_MAX_BATCH = 4096      # rays per dispatch before the window cuts
 DEFAULT_QUEUE_LIMIT = 64      # in-flight requests before shedding
 
-_UNRESOLVED = object()        # "cache unspecified" sentinel (see context)
-
 
 # ----------------------------------------------------------------------
 # Env knobs (lenient, see repro.core.knobs)
@@ -293,8 +291,8 @@ class SceneStore:
     Unlike the process-wide memo in :mod:`repro.core.context`, eviction
     here is real — a long-lived daemon must bound memory across an
     unbounded scene universe.  A cold miss renders the source views
-    (``SceneData.prepare``), reusing the disk scene cache under the
-    shared ``llff-src`` recipe when one is active, so daemon restarts
+    (``SceneData.prepare``), reusing the disk scene ``cache`` under the
+    shared ``llff-src`` recipe when one is passed, so daemon restarts
     and the experiment harnesses hit the same entries.  Re-preparation
     after eviction is byte-identical to the original (pinned in
     ``tests/core/test_serve.py``), so the LRU is purely a
@@ -302,7 +300,8 @@ class SceneStore:
     """
 
     def __init__(self, capacity: int = 4, source_points: int = 32,
-                 cache=_UNRESOLVED, workers: Optional[int] = 1):
+                 cache: Optional[SceneCache] = None,
+                 workers: Optional[int] = 1):
         self.capacity = max(int(capacity), 1)
         self.source_points = int(source_points)
         self.workers = workers
@@ -342,8 +341,6 @@ class SceneStore:
         self.misses += 1
         scene = self.scene_for(key)
         cache = self._cache
-        if cache is _UNRESOLVED:
-            cache = SceneCache.from_env()
         images = cache.load(self._disk_key(key)) if cache else None
         if images is None:
             data = M.SceneData.prepare(scene,
@@ -382,6 +379,8 @@ class ServeConfig:
     knobs (resolved by :meth:`from_env`); ``request_deadline`` (ticks)
     fails a request that cannot complete — the backstop that turns a
     hung request into an error response instead of a stuck queue.
+    ``cache_dir`` is the disk scene cache of the scheduler's default
+    :class:`SceneStore` (``None`` = the ``REPRO_CACHE_DIR`` env knob).
     """
 
     batch_window: int = DEFAULT_BATCH_WINDOW
@@ -528,8 +527,7 @@ class RenderScheduler:
         self.store = store if store is not None else SceneStore(
             capacity=self.config.scene_capacity,
             source_points=self.config.source_points,
-            cache=(_UNRESOLVED if self.config.cache_dir is None
-                   else SceneCache.from_env(self.config.cache_dir)),
+            cache=SceneCache.from_env(self.config.cache_dir),
             workers=self.config.workers)
         self._models: Dict[str, Any] = dict(models or {})
         self._pending: "OrderedDict[str, _RequestState]" = OrderedDict()
@@ -1027,14 +1025,15 @@ def _serve_replay_unit(level: int, requests_per_client: int, seed: int,
                        qualities: Sequence[str], image_scale: float,
                        views: int, step: int, source_points: int,
                        mean_gap: int, burst: bool = False,
-                       workers: Optional[int] = 1) -> Dict[str, Any]:
+                       workers: Optional[int] = 1,
+                       cache_dir: Optional[str] = None) -> Dict[str, Any]:
     """One concurrency level of the ``serve_replay`` experiment: replay
     a deterministic synthetic trace of ``level`` clients through a
     fresh scheduler and summarise the service metrics."""
     config = ServeConfig(batch_window=batch_window, max_batch=max_batch,
                          queue_limit=queue_limit,
                          scene_capacity=scene_capacity, workers=workers,
-                         source_points=source_points)
+                         source_points=source_points, cache_dir=cache_dir)
     trace = synthetic_trace(seed=seed, clients=level,
                             requests_per_client=requests_per_client,
                             scenes=tuple(scenes),

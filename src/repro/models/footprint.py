@@ -35,8 +35,8 @@ Bit-exactness is the contract, and it rests on three legs:
   planner's ``2 * n_out < dense_rows`` guard per layer is what makes
   the shared compaction rule always fire on both sides.
 
-The knob mirrors ``REPRO_SPARSE``: on by default, lenient parsing, CLI
-``--footprint/--no-footprint`` exports it to pool workers.
+The knob mirrors ``REPRO_SPARSE``: on by default, lenient parsing, set
+in the environment (there is no CLI flag).
 """
 
 from __future__ import annotations
@@ -53,9 +53,8 @@ FOOTPRINT_ENV = "REPRO_FOOTPRINT"
 def footprint_enabled(override: Optional[bool] = None) -> bool:
     """Resolve the footprint-encode switch.
 
-    Priority: explicit argument (``Trainer(..., footprint=...)`` or the
-    CLI's ``--footprint/--no-footprint``), then the ``REPRO_FOOTPRINT``
-    env knob, then the default (on).  Empty/whitespace env values are
+    Priority: explicit argument (``Trainer(..., footprint=...)``), then
+    the ``REPRO_FOOTPRINT`` env knob, then the default (on).  Empty/whitespace env values are
     skipped; malformed values warn and fall through.
     """
     # Imported lazily for the same package-init cycle reason as

@@ -35,9 +35,9 @@ from .sparse import sparse_enabled
 
 DIRECTION_DIM = 4  # relative-direction encoding width (diff vec + dot)
 
-# Empirical OpenBLAS kernel-switch thresholds on this container's
-# single-threaded scipy-openblas build (measured, pinned by the sparse
-# equivalence suite).  ``sgemm`` picks its small-matrix kernel while
+# Empirical OpenBLAS kernel-switch thresholds, measured on a single-core
+# host with a single-threaded scipy-openblas build when the packed fine
+# pass was added (pinned by the sparse equivalence suite).  ``sgemm`` picks its small-matrix kernel while
 # M*K*N stays at or under ~1e6 output-cells-times-depth; the two
 # kernels produce bitwise-different rows only for the narrow-output
 # shapes flagged in ``_packed_pad_bounds``.  The N == 1 matrix-vector

@@ -1,4 +1,4 @@
-"""The sparse fine-pass knob (``REPRO_SPARSE`` / ``--sparse``).
+"""The sparse fine-pass knob (``REPRO_SPARSE``).
 
 The packed fine pass (see :mod:`repro.models.ibrnet`) is on by default:
 it is byte-identical to the padded path by construction, so there is no
@@ -24,9 +24,9 @@ SPARSE_ENV = "REPRO_SPARSE"
 def sparse_enabled(override: Optional[bool] = None) -> bool:
     """Resolve the sparse fine-pass switch.
 
-    Priority: explicit argument (``forward(..., sparse=...)`` or the
-    CLI's ``--sparse/--no-sparse``), then the ``REPRO_SPARSE`` env knob,
-    then the default (on).  Empty/whitespace env values are skipped;
+    Priority: explicit argument (``forward(..., sparse=...)``), then
+    the ``REPRO_SPARSE`` env knob, then the default (on).  Pool workers
+    inherit the env knob from the process that starts them.  Empty/whitespace env values are skipped;
     malformed values warn and fall through.
     """
     # Imported lazily: this module loads from ``models.ibrnet`` before

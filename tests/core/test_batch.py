@@ -27,10 +27,7 @@ def _make_tiny(name, artefact):
         name=name, title="synthetic tiny", kind="table",
         artefact=artefact, description="batch-test fixture",
         params={"seed": 1, "width": 3},
-        units=lambda ctx, params, shared: [
-            (_tiny_unit, {"seed": params["seed"],
-                          "width": params["width"]})],
-        reduce=lambda results, params: results[0],
+        compute=lambda ctx, params: _tiny_unit(**params),
         render=lambda rows, params: "tiny " + " ".join(
             str(value) for value in rows))
 
@@ -44,8 +41,7 @@ def tiny_registry():
         name="_batch_boom", title="synthetic failure", kind="table",
         artefact="_batch_boom", description="batch-test fixture",
         params={},
-        units=lambda ctx, params, shared: [(_boom_unit, {})],
-        reduce=lambda results, params: results,
+        compute=lambda ctx, params: _boom_unit(),
         render=lambda rows, params: "never rendered")
     registry.register(tiny)
     registry.register(boom)
@@ -147,6 +143,41 @@ class TestRunBatch:
         assert "Traceback" in report
         events = log.events_named(caplog.records, "batch.job_quarantined")
         assert [r.repro_fields["job"] for r in events] == ["b_broken"]
+
+    def test_artefact_stem_collision_quarantined_before_any_job(
+            self, tmp_path, tiny_registry):
+        # b names a's artefact: it must not be reported "skipped: a.txt
+        # exists" (its experiment would never run); it is quarantined
+        # before compute, and a's artefact is a's own.
+        jobs = tmp_path / "jobs"
+        jobs.mkdir()
+        _write_spec(jobs, "a", {"experiment": "_batch_tiny"})
+        _write_spec(jobs, "b", {"experiment": "_batch_tiny", "seed": 5,
+                                "artefact": "a"})
+        summary = run_batch(str(jobs))
+        statuses = {r.stem: (r.status, r.detail) for r in summary.reports}
+        assert statuses["a"] == ("completed", "a.txt")
+        assert statuses["b"][0] == "quarantined"
+        assert "already written by job 'a'" in statuses["b"][1]
+        out = jobs / "out"
+        expected = tiny_registry.run(RunContext()).text + "\n"
+        assert (out / "a.txt").read_text() == expected
+        assert (out / "errors" / "b.report.txt").exists()
+        # A resume reports the same collision, not a skip.
+        again = run_batch(str(jobs))
+        assert [r.status for r in again.reports] == ["skipped",
+                                                     "quarantined"]
+
+    def test_summary_stem_reserved(self, tmp_path, tiny_registry):
+        jobs = tmp_path / "jobs"
+        jobs.mkdir()
+        _write_spec(jobs, "c", {"experiment": "_batch_tiny",
+                                "artefact": "batch_summary"})
+        summary = run_batch(str(jobs))
+        assert (summary.completed, summary.quarantined) == (0, 1)
+        assert "batch summary" in summary.reports[0].detail
+        text = (jobs / "out" / "batch_summary.txt").read_text()
+        assert text == summary.render() + "\n"
 
     def test_artefacts_byte_identical_to_direct_run(self, tmp_path,
                                                     tiny_registry):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.core.registry import experiment_names
+from repro.core.registry import experiment_names, get_experiment
 
 
 class TestList:
@@ -65,20 +65,40 @@ class TestRun:
         capsys.readouterr()
         assert seen == [2, None]
 
-    def test_cache_dir_flag_does_not_leak_into_environ(self, tmp_path,
-                                                       monkeypatch):
+    def test_cache_dir_flag_reaches_compute_without_touching_environ(
+            self, tmp_path, monkeypatch, capsys):
         import os
 
         from repro.core.scene_cache import ENV_KNOB
 
-        monkeypatch.delenv(ENV_KNOB, raising=False)
-        assert main(["run", "table1",
-                     "--cache-dir", str(tmp_path)]) == 0
-        assert ENV_KNOB not in os.environ
-        monkeypatch.setenv(ENV_KNOB, "previous")
-        assert main(["run", "table1",
-                     "--cache-dir", str(tmp_path)]) == 0
-        assert os.environ[ENV_KNOB] == "previous"
+        experiment = get_experiment("table1")
+        real_compute = experiment.compute
+        seen = []
+
+        def recording_compute(ctx, params):
+            seen.append((ctx.cache_dir, dict(os.environ)))
+            return real_compute(ctx, params)
+
+        monkeypatch.setattr(experiment, "compute", recording_compute)
+        for previous in (None, "previous"):
+            if previous is None:
+                monkeypatch.delenv(ENV_KNOB, raising=False)
+            else:
+                monkeypatch.setenv(ENV_KNOB, previous)
+            before = dict(os.environ)
+            assert main(["run", "table1",
+                         "--cache-dir", str(tmp_path)]) == 0
+            assert seen.pop() == (str(tmp_path), before)
+            assert dict(os.environ) == before
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("flag", ["--sparse", "--no-sparse",
+                                      "--footprint", "--no-footprint"])
+    def test_knob_flags_are_gone(self, capsys, flag):
+        # REPRO_SPARSE / REPRO_FOOTPRINT are set in the environment.
+        with pytest.raises(SystemExit):
+            main(["run", "table1", flag])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSweep:

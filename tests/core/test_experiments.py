@@ -84,7 +84,7 @@ class TestTrainingRunners:
 @pytest.mark.slow
 class TestWorkerWidthInvariance:
     """Rows are byte-identical whether the work an experiment shards
-    (source-view renders in the prepare hooks, serve dispatches) runs
+    (source-view renders of scene preparation, serve dispatches) runs
     in process or on the frame pool."""
 
     @staticmethod

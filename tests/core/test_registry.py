@@ -24,14 +24,6 @@ EXPECTED = ["table1", "fig2", "fig9", "table2", "table3", "fig10",
             "occupancy_profile"]
 
 
-def _read_cache_knob():
-    import os
-
-    from repro.core.scene_cache import ENV_KNOB
-
-    return os.environ.get(ENV_KNOB)
-
-
 class TestRegistryShape:
     def test_all_paper_experiments_registered(self):
         assert experiment_names() == EXPECTED
@@ -58,31 +50,6 @@ class TestRegistryShape:
         # Explicit overrides beat the context.
         params = experiment.bind(RunContext(seed=7), {"seed": 3})
         assert params["seed"] == 3
-
-    def test_run_honours_context_cache_dir(self, tmp_path, monkeypatch):
-        # ctx.cache_dir must reach the units via the exported env knob
-        # for the duration of the run — programmatic callers get the
-        # disk cache without touching os.environ — and the previous env
-        # value must be restored afterwards.
-        import os
-
-        from repro.core.registry import Experiment
-        from repro.core.scene_cache import ENV_KNOB
-
-        probe = Experiment(
-            name="knob-probe", title="probe", kind="table",
-            artefact="unused", description="reads the exported knob",
-            params={},
-            units=lambda ctx, params, shared: [(_read_cache_knob, {})],
-            reduce=lambda results, params: results[0],
-            render=lambda rows, params: str(rows))
-        monkeypatch.delenv(ENV_KNOB, raising=False)
-        result = probe.run(RunContext(cache_dir=str(tmp_path)))
-        assert result.rows == str(tmp_path)
-        assert ENV_KNOB not in os.environ
-        monkeypatch.setenv(ENV_KNOB, "previous")
-        probe.run(RunContext(cache_dir=str(tmp_path)))
-        assert os.environ[ENV_KNOB] == "previous"
 
     def test_scale_rules_clamp_at_floor(self):
         experiment = get_experiment("table2")
@@ -133,212 +100,165 @@ class TestRenderAndRegenerate:
         assert open(path).read() == result.text + "\n"
 
 
-class _PrepareProbe:
-    """The shared state of the contract probe: counts its prepares."""
+def _probe(compute, render=lambda rows, params: str(rows)):
+    from repro.core.registry import Experiment
 
-    calls = 0
-
-    def __init__(self):
-        type(self).calls += 1
-
-
-def _probe_unit(index, prep):
-    return index, prep
+    return Experiment(
+        name="_contract_probe", title="probe", kind="table",
+        artefact="unused", description="execution-contract probe",
+        params={"width": 3}, compute=compute, render=render)
 
 
 class TestExecutionContract:
-    """Every experiment runs prepare once, then its units in process —
-    at any worker width."""
+    """``Experiment.run`` is bind -> compute -> render: ``compute`` runs
+    once, in process, at any worker width."""
 
-    @pytest.fixture()
-    def probe(self):
-        from repro.core.registry import Experiment
-
-        _PrepareProbe.calls = 0
-        return Experiment(
-            name="_contract_probe", title="probe", kind="table",
-            artefact="unused", description="execution-contract probe",
-            params={"width": 3},
-            prepare=lambda ctx, params: _PrepareProbe(),
-            units=lambda ctx, params, shared: [
-                (_probe_unit, {"index": index, "prep": shared})
-                for index in range(params["width"])],
-            reduce=lambda results, params: results,
-            render=lambda rows, params: str(len(rows)))
-
-    def test_prepare_once_units_in_process_at_two_workers(
-            self, probe, monkeypatch):
+    def test_compute_runs_once_in_process_at_two_workers(
+            self, monkeypatch):
         import concurrent.futures
 
         def bomb(*args, **kwargs):
             raise AssertionError("ProcessPoolExecutor constructed for "
-                                 "experiment units")
+                                 "an experiment's compute")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             bomb)
-        rows = probe.run(RunContext(workers=2)).rows
-        assert _PrepareProbe.calls == 1
-        assert [index for index, _ in rows] == [0, 1, 2]
-        shared = rows[0][1]
-        assert isinstance(shared, _PrepareProbe)
-        assert all(prep is shared for _, prep in rows)
+        calls = []
 
-    def test_unit_exception_propagates_unchanged(self, probe):
-        from repro.core.registry import Experiment
+        def compute(ctx, params):
+            calls.append(os.getpid())
+            return list(range(params["width"]))
 
-        error = FileNotFoundError("missing scene file")
+        rendered = []
 
-        def failing_unit(prep):
-            raise error
+        def render(rows, params):
+            rendered.append(rows)
+            return "rows " + " ".join(map(str, rows))
 
-        failing = Experiment(
-            name="_contract_fail", title="probe", kind="table",
-            artefact="unused", description="raises from a unit",
-            params={}, prepare=probe.prepare,
-            units=lambda ctx, params, shared: [(failing_unit,
-                                                {"prep": shared})],
-            reduce=lambda results, params: results,
-            render=lambda rows, params: "never rendered")
-        with pytest.raises(FileNotFoundError) as raised:
-            failing.run(RunContext(workers=2))
-        assert raised.value is error
-        assert _PrepareProbe.calls == 1
-
-    @pytest.mark.parametrize("workers", [None, 1, 2])
-    def test_prepare_hook_sees_context_workers(self, workers):
-        # ctx.workers reaches the hooks that shard their own work.
-        from repro.core.registry import Experiment
-
-        seen = []
-        probe = Experiment(
-            name="_contract_width", title="probe", kind="table",
-            artefact="unused", description="records the hook's width",
-            params={},
-            prepare=lambda ctx, params: seen.append(ctx.workers),
-            units=lambda ctx, params, shared: [],
-            reduce=lambda results, params: results,
-            render=lambda rows, params: "")
-        probe.run(RunContext(workers=workers))
-        assert seen == [workers]
+        result = _probe(compute, render).run(RunContext(workers=2),
+                                             width=4)
+        assert calls == [os.getpid()]
+        assert result.rows == [0, 1, 2, 3]
+        assert rendered == [result.rows]
+        assert result.text == "rows 0 1 2 3"
+        assert result.params == {"width": 4}
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_unit_oserror_stops_the_run_without_rerun(self, workers):
-        # A unit's OSError is the unit's own failure: units before it
-        # ran exactly once, units after it never run, and nothing is
-        # retried or re-run sequentially.
-        from repro.core.registry import Experiment
+    def test_compute_exception_propagates_unchanged(self, workers):
+        # The compute's own failure (an OSError included) surfaces as
+        # is: nothing is retried, re-run, or rendered.
+        error = FileNotFoundError("missing scene file")
+        calls = []
 
-        ran = []
+        def compute(ctx, params):
+            calls.append(1)
+            raise error
 
-        def healthy(index):
-            ran.append(index)
-            return index
+        def render(rows, params):
+            raise AssertionError("rendered after a failed compute")
 
-        def missing():
-            raise FileNotFoundError("missing scene file")
+        with pytest.raises(FileNotFoundError) as raised:
+            _probe(compute, render).run(RunContext(workers=workers))
+        assert raised.value is error
+        assert calls == [1]
 
-        failing = Experiment(
-            name="_contract_oserror", title="probe", kind="table",
-            artefact="unused", description="raises mid-ladder",
-            params={},
-            units=lambda ctx, params, shared: [
-                (healthy, {"index": 0}), (missing, {}),
-                (healthy, {"index": 2})],
-            reduce=lambda results, params: results,
-            render=lambda rows, params: "never rendered")
-        with pytest.raises(FileNotFoundError, match="missing scene"):
-            failing.run(RunContext(workers=workers))
-        assert ran == [0]
-
-    def test_experiment_without_prepare_hands_units_none(self):
-        from repro.core.registry import Experiment
-
-        received = []
-        plain = Experiment(
-            name="_contract_plain", title="probe", kind="table",
-            artefact="unused", description="no prepare hook",
-            params={},
-            units=lambda ctx, params, shared: received.append(shared)
-            or [(_probe_unit, {"index": 0, "prep": shared})],
-            reduce=lambda results, params: results,
-            render=lambda rows, params: str(rows))
-        assert plain.run(RunContext(workers=2)).rows == [(0, None)]
-        assert received == [None]
-
-    def test_cache_dir_exported_while_prepare_runs(self, tmp_path,
-                                                   monkeypatch):
-        import os
-
-        from repro.core.registry import Experiment
+    @pytest.mark.parametrize("workers", [None, 1, 2])
+    def test_context_reaches_compute_and_environ_is_untouched(
+            self, workers, tmp_path, monkeypatch):
         from repro.core.scene_cache import ENV_KNOB
 
-        probe = Experiment(
-            name="_contract_cache", title="probe", kind="table",
-            artefact="unused", description="reads the knob in prepare",
-            params={},
-            prepare=lambda ctx, params: _read_cache_knob(),
-            units=lambda ctx, params, shared: [(_probe_unit,
-                                                {"index": 0,
-                                                 "prep": shared})],
-            reduce=lambda results, params: results[0][1],
-            render=lambda rows, params: str(rows))
         monkeypatch.delenv(ENV_KNOB, raising=False)
-        assert probe.run(RunContext(cache_dir=str(tmp_path))).rows \
-            == str(tmp_path)
-        assert ENV_KNOB not in os.environ
+        before = dict(os.environ)
+        seen = []
+
+        def compute(ctx, params):
+            seen.append((ctx.workers, ctx.cache_dir, dict(os.environ)))
+            return []
+
+        _probe(compute).run(RunContext(workers=workers,
+                                       cache_dir=str(tmp_path)))
+        assert seen == [(workers, str(tmp_path), before)]
+        assert dict(os.environ) == before
 
 
-class TestPaperHooks:
-    """The paper experiments' own hooks: the prepare hooks forward
-    ``ctx.workers`` to the source-view renders, and every unit of a
-    ladder receives the one prepared state."""
+class TestPaperComputes:
+    """The paper experiments' own ``compute`` loops: prepare once with
+    the context's width and scene cache, then run every variant on the
+    one prepared state, in order."""
 
-    @pytest.mark.parametrize("name", ["table2", "table3"])
-    def test_prepare_hook_forwards_context_workers(self, name,
-                                                   monkeypatch):
+    def test_table2_prepares_once_then_trains_every_variant(
+            self, tmp_path, monkeypatch):
         from repro.core import experiments as E
 
         calls = []
-        target = f"_{name}_prepare"
-        monkeypatch.setattr(E, target,
-                            lambda **kwargs: calls.append(kwargs))
-        experiment = get_experiment(name)
-        ctx = RunContext(workers=3)
-        experiment.prepare(ctx, experiment.bind(ctx, {}))
-        assert calls
-        assert all(kwargs["workers"] == 3 for kwargs in calls)
-        if name == "table3":
-            assert [kwargs["views"] for kwargs in calls] \
-                == list(experiment.params["view_counts"])
+        prep = object()
 
-    def test_table2_units_share_one_prep(self):
+        def prepare(**kwargs):
+            calls.append(("prepare", kwargs))
+            return prep
+
+        def unit(kind, prep, **kwargs):
+            calls.append((kind, prep))
+            return [kind]
+
+        monkeypatch.setattr(E, "_table2_prepare", prepare)
+        monkeypatch.setattr(E, "_table2_unit", unit)
+        experiment = get_experiment("table2")
+        ctx = RunContext(workers=3, cache_dir=str(tmp_path))
+        rows = experiment.compute(ctx, experiment.bind(ctx, {}))
+        assert rows == list(E.TABLE2_VARIANTS)
+        (_, kwargs), *units = calls
+        assert kwargs["workers"] == 3
+        assert kwargs["cache"].directory == str(tmp_path)
+        assert units == [(kind, prep) for kind in E.TABLE2_VARIANTS]
+
+    def test_table3_prepares_every_view_count_first(self, tmp_path,
+                                                    monkeypatch):
         from repro.core import experiments as E
 
-        experiment = get_experiment("table2")
-        ctx = RunContext()
-        shared = object()
-        tasks = experiment.units(ctx, experiment.bind(ctx, {}), shared)
-        assert [kwargs["kind"] for _, kwargs in tasks] \
-            == list(E.TABLE2_VARIANTS)
-        assert all(kwargs["prep"] is shared for _, kwargs in tasks)
+        calls = []
 
-    def test_table3_units_share_their_view_count_prep(self):
+        def prepare(views, **kwargs):
+            calls.append(("prepare", views, kwargs))
+            return ("prep", views)
+
+        def unit(method, views, prep, **kwargs):
+            calls.append((method, views, prep))
+            return method
+
+        monkeypatch.setattr(E, "_table3_prepare", prepare)
+        monkeypatch.setattr(E, "_table3_unit", unit)
         experiment = get_experiment("table3")
-        ctx = RunContext()
+        ctx = RunContext(workers=3, cache_dir=str(tmp_path))
         params = experiment.bind(ctx, {})
-        shared = {views: object() for views in params["view_counts"]}
-        tasks = experiment.units(ctx, params, shared)
-        assert len(tasks) == 2 * len(params["view_counts"])
-        assert all(kwargs["prep"] is shared[kwargs["views"]]
-                   for _, kwargs in tasks)
+        experiment.compute(ctx, params)
+        views = list(params["view_counts"])
+        prepares = calls[:len(views)]
+        assert [call[1] for call in prepares] == views
+        assert all(call[2]["workers"] == 3
+                   and call[2]["cache"].directory == str(tmp_path)
+                   for call in prepares)
+        assert calls[len(views):] == [
+            (method, count, ("prep", count))
+            for count in views for method in E.TABLE3_METHODS]
 
     @pytest.mark.parametrize("workers", [None, 1, 3])
-    def test_serve_replay_units_forward_context_workers(self, workers):
+    def test_serve_replay_forwards_workers_and_cache_dir(
+            self, workers, tmp_path, monkeypatch):
+        from repro.core import serve as S
+
+        calls = []
+        monkeypatch.setattr(S, "_serve_replay_unit",
+                            lambda **kwargs: calls.append(kwargs))
         experiment = get_experiment("serve_replay")
-        ctx = RunContext(workers=workers)
-        tasks = experiment.units(ctx, experiment.bind(ctx, {}), None)
-        assert len(tasks) == len(experiment.params["levels"]) + 1
-        assert all(kwargs["workers"] == workers for _, kwargs in tasks)
+        ctx = RunContext(workers=workers, cache_dir=str(tmp_path))
+        params = experiment.bind(ctx, {})
+        experiment.compute(ctx, params)
+        assert [(c["level"], c["burst"]) for c in calls] == \
+            [(level, False) for level in params["levels"]] \
+            + [(params["burst_clients"], True)]
+        assert all(c["workers"] == workers
+                   and c["cache_dir"] == str(tmp_path) for c in calls)
 
 
 class TestSweep:

@@ -57,34 +57,88 @@ class TestKnob:
         explicit = SceneCache.from_env(str(tmp_path / "explicit"))
         assert explicit.directory == str(tmp_path / "explicit")
 
-    def test_cache_none_disables_even_with_env_set(
-            self, monkeypatch, tmp_path, fresh_memos):
-        # An explicitly disabled cache (e.g. a RunContext with an
-        # off-value cache_dir) must not be re-enabled by the env knob.
+    def test_cache_none_ignores_the_env(self, monkeypatch, tmp_path,
+                                        fresh_memos):
+        # The scene layer reads no knob: the caller passes the cache.
         monkeypatch.setenv(ENV_KNOB, str(tmp_path))
         llff_scene_data(names=("fortress",), cache=None, **TINY)
         assert os.listdir(tmp_path) == []
 
-    def test_run_context_off_value_disables(self, monkeypatch, tmp_path,
-                                            fresh_memos):
-        # The production path: an experiment's prepare hook resolves
-        # the cache from the knob that Experiment.run exports.
-        from repro.core.context import RunContext
-        from repro.core.registry import Experiment
 
-        prepares = Experiment(
-            name="_cache_probe", title="probe", kind="table",
-            artefact="unused", description="prepares one tiny scene",
-            params={},
-            prepare=lambda ctx, params: llff_scene_data(
-                names=("fortress",), **TINY),
-            units=lambda ctx, params, shared: [],
-            reduce=lambda results, params: results,
-            render=lambda rows, params: "")
+# Table 2 at a scale that prepares one tiny scene in seconds.
+TINY_TABLE2 = dict(image_scale=1 / 16, num_source_views=3, seed=5,
+                   scenes=("fortress",), eval_step=16)
+
+
+class TestRunContextCache:
+    """``ctx.cache_dir`` (else ``REPRO_CACHE_DIR``) is resolved once per
+    run and passed down to LLFF scene preparation as an argument."""
+
+    @staticmethod
+    def _run_table2_prepare(ctx, monkeypatch):
+        """Run Table 2's real compute up to its prepared scenes (the
+        variants are stubbed) and return ``os.environ`` as the compute
+        saw it."""
+        from repro.core import experiments as E
+        from repro.core.registry import get_experiment
+
+        seen = []
+        monkeypatch.setattr(
+            E, "_table2_unit",
+            lambda **kwargs: seen.append(dict(os.environ)) or [])
+        get_experiment("table2").run(ctx, **TINY_TABLE2)
+        return seen[-1]
+
+    def test_context_cache_dir_reaches_scene_preparation(
+            self, monkeypatch, tmp_path, fresh_memos):
+        from repro.core.context import RunContext
+
+        monkeypatch.delenv(ENV_KNOB, raising=False)
+        before = dict(os.environ)
+        during = self._run_table2_prepare(
+            RunContext(workers=1, cache_dir=str(tmp_path)), monkeypatch)
+        entries = sorted(os.listdir(tmp_path))
+        assert [e for e in entries if e.startswith("llff-src-fortress")]
+        assert [e for e in entries if e.startswith("llff-ref-fortress")]
+        assert during == before
+        assert dict(os.environ) == before
+
+    def test_context_off_value_beats_the_env(self, monkeypatch, tmp_path,
+                                             fresh_memos):
+        from repro.core.context import RunContext
+
         monkeypatch.setenv(ENV_KNOB, str(tmp_path))
-        prepares.run(RunContext(cache_dir="off"))
+        self._run_table2_prepare(RunContext(workers=1, cache_dir="off"),
+                                 monkeypatch)
         assert os.listdir(tmp_path) == []
         assert ctx_mod._SCENE_DATA_MEMO      # the scene was prepared
+
+    def test_env_alone_reaches_experiments_and_the_daemon(
+            self, monkeypatch, tmp_path, fresh_memos):
+        import io
+        import json
+
+        from repro.core import serve
+        from repro.core.context import RunContext
+
+        runs = tmp_path / "runs"
+        monkeypatch.setenv(ENV_KNOB, str(runs))
+        self._run_table2_prepare(RunContext(workers=1), monkeypatch)
+        assert [e for e in os.listdir(runs)
+                if e.startswith("llff-src-fortress")]
+
+        daemon = tmp_path / "daemon"
+        monkeypatch.setenv(ENV_KNOB, str(daemon))
+        request = {"scene": "horns", "quality": "draft", "step": 16,
+                   "image_scale": 1 / 16, "views": 2}
+        out = io.StringIO()
+        stats = serve.run_daemon(
+            serve.ServeConfig(workers=1, source_points=8),
+            input_stream=io.StringIO(json.dumps(request) + "\n"),
+            output_stream=out)
+        assert stats["completed"] == 1
+        assert [e for e in os.listdir(daemon)
+                if e.startswith("llff-src-horns")]
 
 
 class TestStoreLoad:
@@ -174,7 +228,7 @@ class TestSelfHeal:
 class TestPreparedSceneCache:
     def test_warm_hit_skips_prepare_and_is_byte_identical(
             self, tmp_path, monkeypatch, fresh_memos):
-        monkeypatch.setenv(ENV_KNOB, str(tmp_path))
+        cache = SceneCache(str(tmp_path))
         prepare_calls = []
         original = M.SceneData.prepare
 
@@ -185,28 +239,30 @@ class TestPreparedSceneCache:
         monkeypatch.setattr(M.SceneData, "prepare",
                             staticmethod(counting_prepare))
 
-        cold = llff_scene_data(names=("fortress",), **TINY)["fortress"]
+        cold = llff_scene_data(names=("fortress",), cache=cache,
+                               **TINY)["fortress"]
         assert len(prepare_calls) == 1
         assert os.listdir(tmp_path)          # entry persisted
 
         clear_scene_memos()                  # simulate a new session
-        warm = llff_scene_data(names=("fortress",), **TINY)["fortress"]
+        warm = llff_scene_data(names=("fortress",), cache=cache,
+                               **TINY)["fortress"]
         assert len(prepare_calls) == 1        # no re-render on the hit
         assert warm.source_images.tobytes() == cold.source_images.tobytes()
         assert warm.source_images.dtype == cold.source_images.dtype
 
         # Cache off: a from-scratch prep matches the cached arrays, so
         # hits are byte-identical to cold preparation.
-        monkeypatch.setenv(ENV_KNOB, "off")
         clear_scene_memos()
-        scratch = llff_scene_data(names=("fortress",), **TINY)["fortress"]
+        scratch = llff_scene_data(names=("fortress",), cache=None,
+                                  **TINY)["fortress"]
         assert len(prepare_calls) == 2
         assert scratch.source_images.tobytes() \
             == warm.source_images.tobytes()
 
     def test_reference_cache_round_trip(self, tmp_path, monkeypatch,
                                         fresh_memos):
-        monkeypatch.setenv(ENV_KNOB, str(tmp_path))
+        cache = SceneCache(str(tmp_path))
         render_calls = []
         original = M.render_target_reference
 
@@ -219,16 +275,18 @@ class TestPreparedSceneCache:
 
         key = (TINY["image_scale"], TINY["num_source_views"],
                TINY["seed"], TINY["gt_points"])
-        data = llff_scene_data(names=("fortress",), **TINY)
-        cold = llff_references(data, key, eval_step=16)["fortress"]
+        data = llff_scene_data(names=("fortress",), cache=cache, **TINY)
+        cold = llff_references(data, key, eval_step=16,
+                               cache=cache)["fortress"]
         assert len(render_calls) == 1
 
         clear_scene_memos()
-        data = llff_scene_data(names=("fortress",), **TINY)
-        warm = llff_references(data, key, eval_step=16)["fortress"]
+        data = llff_scene_data(names=("fortress",), cache=cache, **TINY)
+        warm = llff_references(data, key, eval_step=16,
+                               cache=cache)["fortress"]
         assert len(render_calls) == 1          # disk hit, no re-render
         assert warm.tobytes() == cold.tobytes()
 
         # A different eval step is a different recipe -> cold again.
-        llff_references(data, key, eval_step=8)
+        llff_references(data, key, eval_step=8, cache=cache)
         assert len(render_calls) == 2
